@@ -95,7 +95,8 @@ let engine_arg =
   let doc =
     "Simulation engine: event (the event-level simulator: fibers, bus \
      contention, rank ceiling) or batched (the wave-batched flat-array \
-     engine: dataflow cost arithmetic, scales to millions of ranks)."
+     engine that also evaluates every report's analytic term schedule; \
+     scales to millions of ranks)."
   in
   Arg.(value & opt (enum Harness.Engine.all) Harness.Engine.Event
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
@@ -976,9 +977,9 @@ let timeline spec app_name grid cores cpn htile wg iterations platform engine
 
 let timeline_cmd =
   let doc =
-    "Reconstruct per-rank x per-wave timelines (simulated, analytic term \
-     schedule, optionally real), render them as heatmaps, and attribute \
-     the model's error wave by wave"
+    "Reconstruct per-rank x per-wave timelines (simulated, the analytic \
+     term schedule on the batched engine, optionally real), render them \
+     as heatmaps, and attribute the model's error wave by wave"
   in
   let real =
     Arg.(value & flag
@@ -1123,7 +1124,7 @@ let idlewave_cmd =
     "Inject an idle-wave source and measure the wave: differential front \
      detection on control/perturbed run pairs, propagation speed and \
      decay fits, reconciled against the closed-form idle-wave model on \
-     every substrate"
+     the simulator, the batched engine and (with --real) the kernel"
   in
   let pgrid =
     Arg.(value & opt (some string) None
@@ -1156,14 +1157,14 @@ let idlewave_cmd =
          & info [ "no-bus" ]
              ~doc:
                "Switch off the simulator's shared-bus contention; with \
-                single-core nodes the simulated and dataflow timelines \
+                single-core nodes the simulated and batched timelines \
                 then coincide cell for cell.")
   in
   let fail_on_mismatch =
     Arg.(value & flag
          & info [ "fail-on-mismatch" ]
              ~doc:
-               "Exit 3 when the sim/dataflow timelines diverge or the \
+               "Exit 3 when the sim/batched timelines diverge or the \
                 fitted hop latency misses the analytic one beyond 5%.")
   in
   let capacity =
@@ -1178,7 +1179,7 @@ let idlewave_cmd =
   let json_out =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the wavefront-idlewave/v1 JSON document.")
+             ~doc:"Write the wavefront-idlewave/v2 JSON document.")
   in
   let csv_out =
     Arg.(value & opt (some string) None

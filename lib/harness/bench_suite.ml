@@ -58,7 +58,7 @@ let all () =
     let app = Apps.Sweep3d.params (Wgrid.Data_grid.cube 16) in
     let costs = Wrun.Costs.loggp ~cmp:Wgrid.Cmp.single_core xt4 pg app in
     let tr = Obs.Tracer.create () in
-    ignore (Wrun.Dataflow.run ~costs ~obs:tr pg app);
+    ignore (Wrun.Batched.run ~obs:tr ~costs pg app);
     Obs.Tracer.spans tr
   in
   let record_tr = Obs.Tracer.create ~capacity:1024 () in
@@ -182,10 +182,9 @@ let all () =
         (fun () ->
           Obs.Tracer.record record_tr ~rank:0 ~start:0.0 ~dur:1.0 "x");
     };
-    (* The wave-batched engine at scale, against the timed dataflow replay
-       of the same costs: the baseline pins the batched engine's >= 10x
-       advantage at 64k ranks and its million-rank wall-clock. Few
-       repetitions — each call is seconds, and the medians move little. *)
+    (* The wave-batched engine at scale: the baseline pins its 64k-rank
+       and million-rank wall-clock. Few repetitions — each call is
+       seconds, and the medians move little. *)
     {
       name = "run/batched-64k";
       quick = true;
@@ -221,15 +220,6 @@ let all () =
             Wrun.Batched.run ~domains:scale_domains ~costs:costs_64k_bus
               pg_64k sweep_app
           in
-          assert o.completed);
-    };
-    {
-      name = "run/dataflow-64k";
-      quick = false;
-      repeats = Some 3;
-      f =
-        (fun () ->
-          let o = Wrun.Dataflow.run ~costs:costs_64k pg_64k sweep_app in
           assert o.completed);
     };
     {

@@ -8,7 +8,7 @@ type case = {
   quick : bool;  (** part of the fast CI subset *)
   repeats : int option;
       (** override the runner's repetition count — the multi-second
-          batched/dataflow scale cases run few repetitions *)
+          batched scale cases run few repetitions *)
   f : unit -> unit;
 }
 

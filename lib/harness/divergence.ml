@@ -1,5 +1,5 @@
 (* Wave-by-wave model-error attribution: align the analytic term schedule
-   (the timed dataflow timeline) against an observed run's timeline and
+   (the batched engine's timeline) against an observed run's timeline and
    decompose the closed form's total error into named parts.
 
    Everything is measured on one rank — the observed run's last finisher,

@@ -1,6 +1,6 @@
 (** Wave-by-wave model-error attribution.
 
-    Aligns the analytic term schedule (a timed-dataflow timeline) against
+    Aligns the analytic term schedule (a batched-engine timeline) against
     an observed run's timeline on the observed last-finishing rank and
     decomposes the closed form's total error
     [gap = T_iteration - elapsed] into folding + ramp + per-bucket deltas

@@ -1,12 +1,12 @@
 (** Engine selection for the observed (simulated) side of the report
     workflows.
 
-    Every report pairs an observed simulation against the timed dataflow
-    reference. [Event] is the event-level simulator (fibers, per-event
-    heap, bus contention); [Batched] is the wave-batched flat-array
-    engine, which shares the dataflow replay's LogGP cost arithmetic and
-    scales to million-rank grids. Reports accept the choice as
-    [?engine] and otherwise run unchanged. *)
+    Every report pairs an observed run against the analytic term
+    schedule, which {!Wrun.Batched} evaluates. [Event] is the
+    event-level simulator (fibers, per-event heap, bus contention);
+    [Batched] is the wave-batched flat-array engine itself, which scales
+    to million-rank grids. Reports accept the choice as [?engine] and
+    otherwise run unchanged. *)
 
 type t = Event | Batched
 
@@ -17,6 +17,18 @@ val all : (string * t) list
 
 val pp : Format.formatter -> t -> unit
 
+type outcome = {
+  elapsed : float;  (** makespan, us *)
+  per_iteration : float;
+  completed : bool;
+      (** all ranks finished; [false] when a killed rank starved the rest *)
+  failed : int list;  (** ranks killed by the perturbation spec, ascending *)
+  recovered : int list;
+      (** killed ranks revived by the checkpoint policy, ascending *)
+  checkpoints : int;  (** snapshots taken across all ranks *)
+}
+(** What both engines produce and the reports read. *)
+
 val observed_run :
   ?model_bus:bool ->
   ?perturb:Perturb.Spec.t ->
@@ -26,10 +38,8 @@ val observed_run :
   t ->
   Wavefront_core.Plugplay.config ->
   Wavefront_core.App_params.t ->
-  Xtsim.Wavefront_sim.outcome
-(** One observed run of the configuration on the selected engine,
-    returning the event simulator's outcome shape either way so report
-    records need no engine-specific cases.
+  outcome
+(** One observed run of the configuration on the selected engine.
 
     [Event] builds the machine from the config and delegates to
     {!Xtsim.Wavefront_sim.run}; [max_ranks] and [model_bus] apply, and
@@ -41,10 +51,7 @@ val observed_run :
     per-axis interference term per tile-loop operation where the event
     simulator queues a per-node bus clock, so on multi-core nodes the
     two agree only within the tolerance the differential suite pins
-    (bitwise with the bus off or single-core nodes). [max_ranks] does
-    not apply (the batched engine has no rank ceiling). A batched
-    outcome carries real
-    elapsed/per-iteration/failure/recovery figures, but synthesizes the
-    event-only fields: [events] is 0, [sends] counts messages, and
-    [stats] holds only each rank's finish clock (compute/comm/wait
-    zero) — do not feed it to {!Xtsim.Wavefront_sim.comm_share}. *)
+    (to float precision with the bus off or single-core nodes).
+    [max_ranks] does not apply (the batched engine has no rank
+    ceiling). Both engines tag the same [perturb.*]/[recover.*] spans
+    on [obs]. *)

@@ -1,16 +1,16 @@
 (* The workflow behind `wavefront idlewave`: inject the spec's idle-wave
-   sources into a control/perturbed pair of runs on the event-level
-   simulator and on the timed dataflow backend (optionally on the real
-   shared-memory kernel too), run the differential front detector on each
-   pair, and reconcile the measured propagation speed and decay with the
-   closed-form Perturb.Idle_model prediction built from the same LogGP
+   sources into a control/perturbed pair of runs on the observed engine
+   and on the batched engine's analytic term schedule (optionally on the
+   real shared-memory kernel too), run the differential front detector on
+   each pair, and reconcile the measured propagation speed and decay with
+   the closed-form Perturb.Idle_model prediction built from the same LogGP
    platform numbers.
 
    On a silent system with single-core nodes and the bus model off, the
-   simulator and the timed dataflow backend produce identical timelines
-   cell for cell, so their detectors agree exactly and both match the
-   analytic hop cost to float precision; the real kernel lands within a
-   busy-wait tolerance. *)
+   event-level simulator and the batched engine produce identical
+   timelines cell for cell, so their detectors agree exactly and both
+   match the analytic hop cost to float precision; the real kernel lands
+   within a busy-wait tolerance. *)
 
 open Wavefront_core
 open Wgrid
@@ -18,12 +18,12 @@ open Wgrid
 type t = {
   spec : Perturb.Spec.t;
   model : Perturb.Idle_model.t option;  (** the closed-form prediction *)
-  sim : Obs.Idle_wave.t;  (** detector on the event-level simulator pair *)
-  dataflow : Obs.Idle_wave.t;  (** detector on the timed dataflow pair *)
+  sim : Obs.Idle_wave.t;  (** detector on the observed engine pair *)
+  batched : Obs.Idle_wave.t;  (** detector on the batched model pair *)
   real : Obs.Idle_wave.t option;  (** detector on the real kernel pair *)
   timeline_base : Obs.Timeline.t;  (** control simulator run *)
   timeline : Obs.Timeline.t;  (** perturbed simulator run *)
-  identity : bool;  (** perturbed sim and dataflow timelines identical *)
+  identity : bool;  (** perturbed sim and batched timelines identical *)
   reconcile : Table.t;
   runtime : (string * Obs.Runtime.delta) list;
       (** host-side cost of producing this report, per phase *)
@@ -47,33 +47,28 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   (* Host-side runtime cost per stage (no tracer attach: runtime spans
      are wall-clock nondeterministic, the timelines are simulated time). *)
   let phases = Obs.Runtime.phases () in
-  let timeline_of tr =
-    Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped tr) ~waves
-      (Obs.Tracer.spans tr)
-  in
   (* Simulator pair: same engine and configuration, with and without the
      spec. *)
   let sim_pair perturb =
     let tr = Obs.Tracer.create ~capacity () in
     ignore (Engine.observed_run ~model_bus ?perturb ~obs:tr engine cfg app);
-    timeline_of tr
+    Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped tr) ~waves
+      (Obs.Tracer.spans tr)
   in
   let timeline_base, timeline =
     Obs.Runtime.phase phases "simulate" (fun () ->
         let base = sim_pair None in
         (base, sim_pair (Some spec)))
   in
-  (* Timed dataflow pair: the analytic term schedule under the same spec. *)
+  (* Batched pair: the analytic term schedule under the same spec. *)
   let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
-  let df_pair perturb =
-    let tr = Obs.Tracer.create ~capacity () in
-    ignore (Wrun.Dataflow.run ?perturb ~costs ~obs:tr cfg.pgrid app);
-    timeline_of tr
+  let batched_pair perturb =
+    snd (Wrun.Batched.run_timeline ?perturb ~costs cfg.pgrid app)
   in
-  let df_base, df =
-    Obs.Runtime.phase phases "dataflow" (fun () ->
-        let base = df_pair None in
-        (base, df_pair (Some spec)))
+  let batched_base, batched_tl =
+    Obs.Runtime.phase phases "batched" (fun () ->
+        let base = batched_pair None in
+        (base, batched_pair (Some spec)))
   in
   (* Hop distance between ranks: the wavefront-diagonal difference, which
      on a chain is just the rank difference. *)
@@ -114,8 +109,10 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   let sim_detect =
     Obs.Idle_wave.detect ~baseline:timeline_base ~distance timeline
   in
-  let df_detect = Obs.Idle_wave.detect ~baseline:df_base ~distance df in
-  let identity = Obs.Timeline.equal timeline df in
+  let batched_detect =
+    Obs.Idle_wave.detect ~baseline:batched_base ~distance batched_tl
+  in
+  let identity = Obs.Timeline.equal timeline batched_tl in
   (* Analytic side: the idle-wave term on the link the wave rides — the
      x-neighbor link when the grid has columns, else the y-neighbor one.
      Rank 0's downstream neighbor is rank 1 either way (row-major). *)
@@ -143,24 +140,24 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     in
     let opt f = function None -> dash | Some d -> f d in
     let row name analytic f =
-      [ name; analytic; f sim_detect; f df_detect; opt f real_detect ]
+      [ name; analytic; f sim_detect; f batched_detect; opt f real_detect ]
     in
     Table.v ~id:"IDLEWAVE-RECONCILE"
       ~title:
-        "Idle-wave propagation: analytic model vs detected (sim / dataflow \
+        "Idle-wave propagation: analytic model vs detected (sim / batched \
          / real)"
       ~notes:
         ([ Fmt.str "spec: %a" Perturb.Spec.pp spec;
            Fmt.str "analytic link: hop cost %.4f us, wave period %.4f us"
              hop_cost wave_period;
-           Fmt.str "sim and timed-dataflow timelines identical: %s"
+           Fmt.str "sim and batched timelines identical: %s"
              (if identity then "yes" else "NO") ]
         @
         if model = None then
           [ "spec has no pulse clause: nothing for the analytic model to \
              predict" ]
         else [])
-      ~headers:[ "quantity"; "analytic"; "simulated"; "dataflow"; "real" ]
+      ~headers:[ "quantity"; "analytic"; "simulated"; "batched"; "real" ]
       [
         row "origin (rank, wave)"
           (m (fun im -> origin_cell (Some (Perturb.Idle_model.origin im))))
@@ -192,7 +189,7 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     spec;
     model;
     sim = sim_detect;
-    dataflow = df_detect;
+    batched = batched_detect;
     real = real_detect;
     timeline_base;
     timeline;
@@ -234,7 +231,7 @@ let pp ppf t =
     Format.fprintf ppf "%s: %a@.@." title Obs.Idle_wave.pp d
   in
   section "simulated" t.sim;
-  section "dataflow" t.dataflow;
+  section "batched" t.batched;
   (match t.real with Some d -> section "real" d | None -> ());
   (* The wait heatmap of the perturbed run with the detected wave drawn
      on top: O marks the origin cell, > each front's leading edge. *)
@@ -268,7 +265,7 @@ let detect_json (d : Obs.Idle_wave.t) =
 
 let to_json t =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"wavefront-idlewave/v1\",";
+  Buffer.add_string b "{\"schema\":\"wavefront-idlewave/v2\",";
   Buffer.add_string b
     (Printf.sprintf "\"spec\":\"%s\"," (Fmt.str "%a" Perturb.Spec.pp t.spec));
   Buffer.add_string b
@@ -291,8 +288,8 @@ let to_json t =
            (Perturb.Idle_model.decay im)));
   Buffer.add_string b "\"simulated\":";
   Buffer.add_string b (detect_json t.sim);
-  Buffer.add_string b ",\"dataflow\":";
-  Buffer.add_string b (detect_json t.dataflow);
+  Buffer.add_string b ",\"batched\":";
+  Buffer.add_string b (detect_json t.batched);
   (match t.real with
   | Some d ->
       Buffer.add_string b ",\"real\":";

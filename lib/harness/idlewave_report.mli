@@ -1,11 +1,11 @@
 (** The workflow behind [wavefront idlewave]: a control/perturbed run
-    pair on the event-level simulator and on the timed dataflow backend
-    (optionally on the real shared-memory kernel), the differential
-    idle-wave front detector ({!Obs.Idle_wave}) on each pair, and a
-    reconciliation of the measured propagation speed and decay against
-    the closed-form {!Perturb.Idle_model} built from the same LogGP
-    numbers. With single-core nodes and the bus model off the simulator
-    and dataflow timelines are identical cell for cell, so their
+    pair on the observed engine and on the batched engine's analytic term
+    schedule (optionally on the real shared-memory kernel), the
+    differential idle-wave front detector ({!Obs.Idle_wave}) on each pair,
+    and a reconciliation of the measured propagation speed and decay
+    against the closed-form {!Perturb.Idle_model} built from the same
+    LogGP numbers. With single-core nodes and the bus model off the
+    simulator and batched timelines are identical cell for cell, so their
     detectors — and the analytic hop cost — agree to float precision. *)
 
 open Wavefront_core
@@ -14,17 +14,19 @@ type t = {
   spec : Perturb.Spec.t;
   model : Perturb.Idle_model.t option;
       (** the closed-form prediction; [None] when the spec has no pulse *)
-  sim : Obs.Idle_wave.t;  (** detector on the simulator pair *)
-  dataflow : Obs.Idle_wave.t;  (** detector on the timed dataflow pair *)
+  sim : Obs.Idle_wave.t;  (** detector on the observed engine pair *)
+  batched : Obs.Idle_wave.t;
+      (** detector on the batched pair ({!Wrun.Batched.run_timeline}, bus
+          off) *)
   real : Obs.Idle_wave.t option;  (** detector on the real kernel pair *)
   timeline_base : Obs.Timeline.t;  (** control simulator run *)
   timeline : Obs.Timeline.t;  (** perturbed simulator run *)
   identity : bool;
-      (** perturbed simulator and dataflow timelines equal within 1e-6 *)
+      (** perturbed simulator and batched timelines equal within 1e-6 *)
   reconcile : Table.t;
   runtime : (string * Obs.Runtime.delta) list;
       (** host-side cost of producing this report (GC, CPU, RSS) per
-          stage: simulate / dataflow / real / analyze *)
+          stage: simulate / batched / real / analyze *)
 }
 
 val run :
@@ -40,10 +42,10 @@ val run :
     (default off) also executes the shared-memory kernel pair on one
     domain per rank — use small core counts. [model_bus] (default on)
     keeps the simulator's bus contention; switch it off (with single-core
-    nodes) for the exact sim/dataflow identity. [engine] (default
+    nodes) for the exact sim/batched identity. [engine] (default
     {!Engine.Event}) selects the observed substrate; {!Engine.Batched}
-    shares the dataflow's cost arithmetic, so the identity holds
-    regardless of [model_bus]. *)
+    makes the observed side the model's own engine, so the identity
+    holds whenever the bus layer stays silent. *)
 
 val main_fit : Obs.Idle_wave.t -> Obs.Idle_wave.fit option
 (** The fit in the direction the wave travelled (forward when present,
@@ -55,7 +57,7 @@ val speed_error : t -> float option
 
 val exit_status : ?fail_on_mismatch:bool -> t -> int
 (** 0 clean; 3 when the spec has a pulse but the detector found no
-    origin, or — with [fail_on_mismatch] — when the sim/dataflow identity
+    origin, or — with [fail_on_mismatch] — when the sim/batched identity
     broke or {!speed_error} exceeds 5%. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,8 @@ type t = {
   estimate : Perturb.Estimate.breakdown;
   compare : Table.t;
   injection : Table.t;
-  sim_base : Xtsim.Wavefront_sim.outcome;
-  sim : Xtsim.Wavefront_sim.outcome;
+  sim_base : Engine.outcome;
+  sim : Engine.outcome;
   dataflow : Wrun.Dataflow.outcome;
   real : (Kernels.Sweep_exec.outcome * Kernels.Sweep_exec.resilient_outcome) option;
   timeline_base : Obs.Timeline.t;

@@ -13,8 +13,8 @@ type t = {
   injection : Table.t;
       (** per-source injected delay against the estimate's charge, and how
           much of it the pipeline absorbed *)
-  sim_base : Xtsim.Wavefront_sim.outcome;
-  sim : Xtsim.Wavefront_sim.outcome;
+  sim_base : Engine.outcome;
+  sim : Engine.outcome;
   dataflow : Wrun.Dataflow.outcome;
   real :
     (Kernels.Sweep_exec.outcome * Kernels.Sweep_exec.resilient_outcome) option;

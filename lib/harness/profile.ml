@@ -228,7 +228,7 @@ let run ?(real = false) ?(capacity = Obs.Tracer.default_capacity)
          segs)
   in
   (* Wave-resolved view of the same run, and the model's error attributed
-     against the analytic term schedule (the timed dataflow backend). *)
+     against the analytic term schedule (the batched engine, bus off). *)
   let waves =
     Sweeps.Schedule.nsweeps app.schedule
     * Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
@@ -238,12 +238,7 @@ let run ?(real = false) ?(capacity = Obs.Tracer.default_capacity)
   in
   let divergence =
     let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
-    let model_tr = Obs.Tracer.create ~capacity () in
-    ignore (Wrun.Dataflow.run ~costs ~obs:model_tr cfg.pgrid app);
-    let model =
-      Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped model_tr) ~waves
-        (Obs.Tracer.spans model_tr)
-    in
+    let _, model = Wrun.Batched.run_timeline ~costs cfg.pgrid app in
     Divergence.analyze ~model ~observed:timeline ~t_iteration:r.t_iteration
       ~elapsed:sim.elapsed
   in

@@ -32,8 +32,8 @@ type t = {
   within_tolerance : bool;
   compare : Table.t;
   intervals : Table.t;
-  sim_base : Xtsim.Wavefront_sim.outcome;
-  sim : Xtsim.Wavefront_sim.outcome;
+  sim_base : Engine.outcome;
+  sim : Engine.outcome;
   dataflow : Wrun.Dataflow.outcome;
   real : real_result option;
   runtime : (string * Obs.Runtime.delta) list;

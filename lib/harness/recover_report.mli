@@ -28,8 +28,8 @@ type t = {
       (** simulated total within [tolerance] (relative) of the closed form *)
   compare : Table.t;
   intervals : Table.t;  (** expected overhead across candidate intervals *)
-  sim_base : Xtsim.Wavefront_sim.outcome;  (** unperturbed *)
-  sim : Xtsim.Wavefront_sim.outcome;  (** perturbed, recovery armed *)
+  sim_base : Engine.outcome;  (** unperturbed *)
+  sim : Engine.outcome;  (** perturbed, recovery armed *)
   dataflow : Wrun.Dataflow.outcome;
   real : real_result option;
   runtime : (string * Obs.Runtime.delta) list;

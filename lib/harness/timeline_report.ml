@@ -1,6 +1,6 @@
 (* The workflow behind `wavefront timeline`: run one iteration of the same
-   configuration on the event-level simulator (spans stamped in simulated
-   time) and on the timed dataflow backend (the analytic term schedule),
+   configuration on the observed engine (spans stamped in simulated time)
+   and evaluate the analytic term schedule on the batched engine,
    reconstruct both as per-rank x per-wave timelines, optionally execute
    the real shared-memory kernel and reconstruct its timeline too, and
    attribute the closed form's error wave by wave with Divergence. *)
@@ -9,11 +9,11 @@ open Wavefront_core
 open Wgrid
 
 type t = {
-  observed : Obs.Timeline.t;  (** event-level simulator *)
-  model : Obs.Timeline.t;  (** timed dataflow: the analytic term schedule *)
+  observed : Obs.Timeline.t;  (** the selected engine's run *)
+  model : Obs.Timeline.t;  (** the analytic term schedule (batched) *)
   real : Obs.Timeline.t option;  (** shared-memory Domains run *)
   divergence : Divergence.t;
-  sim : Xtsim.Wavefront_sim.outcome;
+  sim : Engine.outcome;
   t_iteration : float;
   runtime : (string * Obs.Runtime.delta) list;
       (** host-side cost of producing this report, per phase *)
@@ -36,12 +36,14 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     Obs.Runtime.phase phases "simulate" (fun () ->
         Engine.observed_run ~model_bus ~obs engine cfg app)
   in
-  (* Model side: the same program on the timed dataflow backend, clocks
-     advanced by the analytic per-operation costs. *)
+  (* Model side: the same program on the batched engine, clocks advanced
+     by the analytic per-operation costs with the bus off, assembled
+     straight into a dense timeline. *)
   let costs = Wrun.Costs.loggp ~cmp:cfg.cmp cfg.platform cfg.pgrid app in
-  let model_tr = Obs.Tracer.create ~capacity () in
-  Obs.Runtime.phase phases "model" (fun () ->
-      ignore (Wrun.Dataflow.run ~costs ~obs:model_tr cfg.pgrid app));
+  let model =
+    Obs.Runtime.phase phases "model" (fun () ->
+        snd (Wrun.Batched.run_timeline ~costs cfg.pgrid app))
+  in
   (* Optional real run, one domain per rank; reconstruction happens in
      the analyze phase with the rest. *)
   let real_raw =
@@ -68,10 +70,6 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     let observed =
       Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped obs) ~waves
         (Obs.Tracer.spans obs)
-    in
-    let model =
-      Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped model_tr) ~waves
-        (Obs.Tracer.spans model_tr)
     in
     let real_tl =
       Option.map

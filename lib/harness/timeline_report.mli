@@ -1,17 +1,19 @@
 (** The workflow behind [wavefront timeline]: reconstruct per-rank x
-    per-wave timelines of the same configuration from the event-level
-    simulator, the timed dataflow backend (the analytic term schedule) and
-    optionally the real shared-memory kernel, and attribute the closed
-    form's error wave by wave. *)
+    per-wave timelines of the same configuration from the observed engine,
+    the analytic term schedule ({!Wrun.Batched}) and optionally the real
+    shared-memory kernel, and attribute the closed form's error wave by
+    wave. *)
 
 open Wavefront_core
 
 type t = {
-  observed : Obs.Timeline.t;  (** event-level simulator *)
-  model : Obs.Timeline.t;  (** timed dataflow: the analytic term schedule *)
+  observed : Obs.Timeline.t;  (** the selected engine's run *)
+  model : Obs.Timeline.t;
+      (** the analytic term schedule: {!Wrun.Batched.run_timeline} with the
+          bus off *)
   real : Obs.Timeline.t option;  (** shared-memory Domains run *)
   divergence : Divergence.t;
-  sim : Xtsim.Wavefront_sim.outcome;
+  sim : Engine.outcome;
   t_iteration : float;
   runtime : (string * Obs.Runtime.delta) list;
       (** host-side cost of producing this report (GC, CPU, RSS) per
@@ -31,9 +33,11 @@ val run :
     eager-sized configuration) and the observed and model timelines
     coincide to float precision — the cross-substrate identity the tests
     assert. [engine] (default {!Engine.Event}) selects the observed
-    substrate; with {!Engine.Batched} the observed side shares the
-    dataflow's cost arithmetic, so the two timelines coincide regardless
-    of [model_bus]. *)
+    substrate; with {!Engine.Batched} the observed side is the model's own
+    engine, so the two timelines coincide whenever the bus layer stays
+    silent (single-core nodes or [model_bus] off). [capacity] bounds the
+    observed and real tracers; the model timeline is assembled from cells
+    and never drops. *)
 
 val pp : ?metric:Obs.Timeline.metric -> Format.formatter -> t -> unit
 

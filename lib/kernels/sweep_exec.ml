@@ -321,7 +321,7 @@ module Backend = struct
     let allreduce t ~rank ~count ~msg_size:_ =
       (* Collective noise: a real stall before the rank enters the
          reduction — one draw per allreduce substrate call, as the
-         simulator and the timed dataflow backend consume it. *)
+         simulator and the batched engine consume it. *)
       (match t.model with
       | None -> ()
       | Some m ->

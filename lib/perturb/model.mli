@@ -4,7 +4,7 @@
     Draw alignment is the load-bearing contract: every substrate consumes
     one {!noise_extra} draw per tile compute and one {!link_extra} draw per
     wavefront send, in program order, so the same spec injects the same
-    delays into the simulator, the real runtime and the dataflow backend.
+    delays into the simulator, the batched engine and the real runtime.
     Each rank only touches its own streams, so a single model is safe to
     share across one-domain-per-rank runtimes. *)
 

@@ -3,7 +3,7 @@
     Deterministic by construction — the sequence depends only on
     [(seed, stream)], never on the compiler's [Random] implementation — so
     the same perturbation spec draws the same delays in the simulator, the
-    real runtime and the dataflow backend, on any OCaml version. *)
+    batched engine and the real runtime, on any OCaml version. *)
 
 type t
 

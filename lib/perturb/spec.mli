@@ -1,7 +1,8 @@
 (** Perturbation specifications: seeded noise, link contention, stragglers
-    and rank failures, as one deterministic description that all three
-    substrates (simulator, real shared-memory runtime, dataflow reference)
-    interpret identically. See the implementation header for the textual
+    and rank failures, as one deterministic description that every
+    substrate (simulator, batched engine, real shared-memory runtime, and
+    the clockless dataflow validator for stragglers and failures)
+    interprets identically. See the implementation header for the textual
     clause syntax ([seed=42 noise=uniform:0.15 link=0.02:5 straggler=3:250
     fail=5:40 pulse=3:40:500 periodic=16:120 collnoise=80]).
 

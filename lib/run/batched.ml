@@ -1,6 +1,6 @@
-(* The wave-batched backend: the same Figure-4 program and LogGP cost
-   arithmetic as the timed dataflow replay, executed without fibers,
-   effects or a heap of events.
+(* The wave-batched backend: the Figure-4 program priced with the
+   model's LogGP costs on per-rank virtual clocks, executed without
+   fibers, effects or a heap of events.
 
    The wavefront schedule is regular enough that the precedence graph
    never has to be discovered at run time: within one sweep, a rank
@@ -12,8 +12,8 @@
    timeline accumulators, and one LogGP delivery timestamp per
    (receiver, tile, axis) slot — a send writes the slot, the receiver
    reads it one diagonal later, and a NaN sentinel marks a message that
-   was never sent (the batched reading of a dataflow fiber blocking
-   forever).
+   was never sent (the batched reading of a blocking receive that never
+   returns).
 
    Ranks are sharded across OCaml 5 domains by contiguous row bands of
    the torus; domains synchronize only at diagonal boundaries (and at
@@ -31,10 +31,10 @@
    time: a halo is an all-sends pass then an all-receives pass; an
    allreduce releases every arrival at the maximum entry clock.
 
-   Time arithmetic, span naming and perturbation draw order replicate
-   [Dataflow]'s timed mode operation for operation, so at small sizes a
-   traced batched run reconstructs into the identical
-   [Obs.Timeline.t]. *)
+   Span naming and perturbation draw order replicate the event-level
+   simulator operation for operation, so with single-core nodes and the
+   bus off a traced batched run reconstructs into the simulator's
+   [Obs.Timeline.t] over the wavefront section. *)
 
 open Wgrid
 

@@ -1,20 +1,22 @@
-(** The wave-batched engine: the Figure-4 program evaluated with the
-    same LogGP cost arithmetic as the timed dataflow replay, but without
-    fibers, effects or per-event heap records — whole anti-diagonals of
-    the processor grid advance per step over flat preallocated
-    structure-of-arrays (per-rank virtual clocks, per-slot delivery
-    timestamps), optionally sharded across OCaml 5 domains by contiguous
-    row bands of the torus with synchronization only at diagonal and
-    epilogue-stage boundaries.
+(** The wave-batched engine, the repository's one timed engine: the
+    Figure-4 program evaluated with the model's per-operation LogGP costs
+    ({!Costs}) on per-rank virtual clocks, without fibers, effects or
+    per-event heap records — whole anti-diagonals of the processor grid
+    advance per step over flat preallocated structure-of-arrays (per-rank
+    virtual clocks, per-slot delivery timestamps), optionally sharded
+    across OCaml 5 domains by contiguous row bands of the torus with
+    synchronization only at diagonal and epilogue-stage boundaries. Its
+    timeline is the analytic term schedule every report compares
+    observed runs against.
 
-    At small sizes a traced run reconstructs (via
-    [Obs.Timeline.of_spans]) into the identical [Obs.Timeline.t] the
-    dataflow substrate produces, perturbations and recovery included —
-    the differential identity the batched test suite pins. At large
-    sizes the engine runs untraced in O(ranks) memory and streams
-    per-cell analytics into a {!cell_sink} instead; a million-rank sweep
-    completes in tens of seconds where the fiber substrates exhaust
-    memory or time. *)
+    With single-core nodes and the bus off, a traced run reconstructs
+    (via [Obs.Timeline.of_spans]) into the event-level simulator's
+    [Obs.Timeline.t] cell for cell over the wavefront section,
+    perturbations and recovery included — the differential identity the
+    batched test suite pins. At large sizes the engine runs untraced in
+    O(ranks) memory and streams per-cell analytics into a {!cell_sink}
+    instead; a million-rank sweep completes in tens of seconds where the
+    fiber substrates exhaust memory or time. *)
 
 open Wgrid
 

@@ -1,8 +1,8 @@
-(* LogGP operation costs for the timed dataflow backend.
+(* LogGP operation costs for the batched engine.
 
-   The dataflow scheduler executes the program's precedence graph with no
-   machine at all; giving each rank a virtual clock advanced by these costs
-   turns a run into the analytic (r1a)-(r5) term schedule evaluated at wave
+   The wave-batched engine executes the program with no machine at all;
+   giving each rank a virtual clock advanced by these costs turns a run
+   into the analytic (r1a)-(r5) term schedule evaluated at wave
    resolution: every tile-step is charged exactly the model's W / Wg_pre
    work and the protocol-mechanics communication terms the closed forms are
    built from (eager: sender busy o, payload in flight L + size*G behind

@@ -1,11 +1,11 @@
-(** LogGP operation costs for the timed dataflow backend: the analytic
-    model's per-operation terms (uniform tile work W / Wg_pre, the
-    uncontended protocol mechanics of eager / rendezvous / copy / DMA
-    transfers, the eq-9 all-reduce), packaged so {!Dataflow} can advance
-    per-rank virtual clocks and emit a wave-resolved analytic term
-    schedule. With single-core nodes, eager-sized messages and bus
-    contention off this arithmetic is the event-level simulator's exactly;
-    the rendezvous charge assumes a pre-posted receive. *)
+(** LogGP operation costs for the batched engine: the analytic model's
+    per-operation terms (uniform tile work W / Wg_pre, the uncontended
+    protocol mechanics of eager / rendezvous / copy / DMA transfers, the
+    eq-9 all-reduce), packaged so {!Batched} can advance per-rank virtual
+    clocks and emit a wave-resolved analytic term schedule. With
+    single-core nodes, eager-sized messages and bus contention off this
+    arithmetic is the event-level simulator's exactly over the wavefront
+    section; the rendezvous charge assumes a pre-posted receive. *)
 
 open Wgrid
 open Wavefront_core

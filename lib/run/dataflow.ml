@@ -274,73 +274,22 @@ end
 
 (* --- The substrate over the raw scheduler --- *)
 
-(* The timed extension: per-rank virtual clocks advanced by the analytic
-   model's operation costs (Costs), with each message carrying its
-   modeled delivery time on a FIFO side-channel aligned with the raw
-   scheduler's channels. The scheduler's interleaving stays exactly the
-   clockless one — time is an annotation on the precedence graph, not a
-   driver of execution order — so a timed run is the (r1a)-(r5) term
-   schedule evaluated at wave resolution, and its spans reconstruct into
-   the analytic per-rank x per-wave timeline that Obs.Timeline aligns
-   against observed runs. *)
-type timed = {
-  costs : Costs.t;
-  tracer : Obs.Tracer.t option;
-  ntiles : int;  (* tiles per sweep, for wave = sweep * ntiles + tile *)
-  clock : float array;  (* per-rank virtual now, us *)
-  delivery : (int, float Queue.t) Hashtbl.t;  (* src * ranks + dst *)
-  sweep : int array;  (* per-rank current sweep index *)
-  finish : float array;
-  (* Collective clock synchronization: the last arriver publishes the max
-     entry clock before any parked fiber resumes, so every rank leaves the
-     barrier at release + cost. *)
-  mutable coll_high : float;
-  mutable coll_arrivals : int;
-  mutable coll_release : float;
-}
-
-(* Recovery bookkeeping: the simulated counterpart of the real
-   supervisor. [last_ckpt] holds each rank's last snapshot wave (global
-   index, via tile_begin); [cur_wave] the wave currently computing, so
-   the rollback depth at a kill is [cur_wave - last_ckpt]. *)
-type recovery = {
-  policy : Perturb.Recover.policy;
-  last_ckpt : int array;
-  cur_wave : int array;
-  revived : bool array;
-  mutable ckpts : int;  (* snapshots taken, all ranks *)
-}
-
 type t = {
   sched : Raw.sched;
   msg_ew : int;
   msg_ns : int;
   model : Perturb.Model.t option;
-  recover : recovery option;
-  timed : timed option;
+  revived : bool array option;
+      (* ranks a recovery policy brought back; [None] without a policy *)
   mutable mismatches : string list;  (* reversed; capped *)
   mutable n_mismatch : int;
 }
 
 let mismatch_cap = 16
 
-let create ?perturb ?recover ?costs ?obs ?(ntiles = 1) ~ranks ~msg_ew ~msg_ns
-    () =
+let create ?perturb ?recover ~ranks ~msg_ew ~msg_ns () =
   let sched = Raw.create ~ranks in
   let model = Option.map (Perturb.Model.create ~ranks) perturb in
-  let recover =
-    match recover with
-    | Some p when Perturb.Recover.enabled p ->
-        Some
-          {
-            policy = p;
-            last_ckpt = Array.make ranks 0;
-            cur_wave = Array.make ranks 0;
-            revived = Array.make ranks false;
-            ckpts = 0;
-          }
-    | _ -> None
-  in
   (match model with
   | None -> ()
   | Some m ->
@@ -348,48 +297,24 @@ let create ?perturb ?recover ?costs ?obs ?(ntiles = 1) ~ranks ~msg_ew ~msg_ns
         if Perturb.Model.is_straggler m ~rank then
           Raw.set_straggler sched rank
       done);
-  let timed =
-    Option.map
-      (fun costs ->
-        {
-          costs;
-          tracer = obs;
-          ntiles;
-          clock = Array.make ranks 0.0;
-          delivery = Hashtbl.create (4 * ranks);
-          sweep = Array.make ranks 0;
-          finish = Array.make ranks 0.0;
-          coll_high = neg_infinity;
-          coll_arrivals = 0;
-          coll_release = 0.0;
-        })
-      costs
-  in
   {
     sched;
     msg_ew;
     msg_ns;
     model;
-    recover;
-    timed;
+    revived =
+      (match recover with
+      | Some p when Perturb.Recover.enabled p -> Some (Array.make ranks false)
+      | _ -> None);
     mismatches = [];
     n_mismatch = 0;
   }
 
-let of_app ?perturb ?recover ?costs ?obs pg app =
-  create ?perturb ?recover ?costs ?obs
-    ~ntiles:
-      (Tile.ntiles_int ~nz:app.Wavefront_core.App_params.grid.Data_grid.nz
-         ~htile:app.Wavefront_core.App_params.htile)
-    ~ranks:(Proc_grid.cores pg)
+let of_app ?perturb ?recover pg app =
+  create ?perturb ?recover ~ranks:(Proc_grid.cores pg)
     ~msg_ew:(Wavefront_core.App_params.message_size_ew app pg)
     ~msg_ns:(Wavefront_core.App_params.message_size_ns app pg)
     ()
-
-let finish_times t = Option.map (fun tm -> Array.copy tm.finish) t.timed
-
-let elapsed t =
-  Option.map (fun tm -> Array.fold_left Float.max 0.0 tm.finish) t.timed
 
 let record_mismatch t fmt =
   Fmt.kstr
@@ -397,63 +322,6 @@ let record_mismatch t fmt =
       t.n_mismatch <- t.n_mismatch + 1;
       if t.n_mismatch <= mismatch_cap then t.mismatches <- m :: t.mismatches)
     fmt
-
-(* --- Timed-mode helpers --- *)
-
-let wave tm ~rank ~tile = (tm.sweep.(rank) * tm.ntiles) + tile
-
-let emit tm ~rank ~name ~cat ~start args =
-  match tm.tracer with
-  | None -> ()
-  | Some tr ->
-      Obs.Tracer.record tr ~cat ~args ~rank ~start
-        ~dur:(tm.clock.(rank) -. start) name
-
-let delivery_q tm key =
-  match Hashtbl.find_opt tm.delivery key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add tm.delivery key q;
-      q
-
-(* The delivery FIFO is pushed/popped in lockstep with the raw channel's
-   message queue, so timestamps pair with payloads positionally. *)
-let timed_send t tm ~rank ~dst bytes =
-  let t0 = tm.clock.(rank) in
-  tm.clock.(rank) <- t0 +. Costs.send_busy tm.costs ~src:rank ~dst bytes;
-  let delivered =
-    tm.clock.(rank) +. Costs.in_flight tm.costs ~src:rank ~dst bytes
-  in
-  Queue.push delivered (delivery_q tm (Raw.key t.sched ~src:rank ~dst));
-  t0
-
-(* Call after [Raw.recv] returned: the payload (and so its timestamp) is
-   guaranteed present. Receiver clock = arrival-or-now + overhead; the
-   blocking share is surfaced as the span's ["wait"] arg. *)
-let timed_recv t tm ~rank ~src =
-  let t0 = tm.clock.(rank) in
-  let delivered = Queue.pop (delivery_q tm (Raw.key t.sched ~src ~dst:rank)) in
-  let wait = Float.max 0.0 (delivered -. t0) in
-  tm.clock.(rank) <- t0 +. wait +. Costs.recv_overhead tm.costs ~src ~dst:rank;
-  (t0, wait)
-
-(* One synchronization round: arrivals accumulate the high-water entry
-   clock; the last arriver publishes it as the release point before it
-   parks, and every resumed rank (all resumes happen strictly after) exits
-   at release + cost. *)
-let timed_collective t tm ~rank ~cost =
-  let t0 = tm.clock.(rank) in
-  tm.coll_arrivals <- tm.coll_arrivals + 1;
-  tm.coll_high <- Float.max tm.coll_high t0;
-  if tm.coll_arrivals = t.sched.Raw.ranks then begin
-    tm.coll_release <- tm.coll_high;
-    tm.coll_arrivals <- 0;
-    tm.coll_high <- neg_infinity
-  end;
-  Raw.barrier t.sched ~rank;
-  tm.clock.(rank) <- tm.coll_release +. cost;
-  t0
 
 module Substrate = struct
   type nonrec t = t
@@ -472,287 +340,71 @@ module Substrate = struct
          (%dB)"
         rank src (Substrate.axis_name axis) tile bytes
         (Substrate.axis_name m.axis) m.tile m.bytes;
-    (match t.timed with
-    | None -> ()
-    | Some tm ->
-        let t0, wait = timed_recv t tm ~rank ~src in
-        emit tm ~rank ~name:"recv" ~cat:"comm" ~start:t0
-          [
-            ("src", Obs.Span.Int src);
-            ("size", Obs.Span.Int bytes);
-            ("wait", Obs.Span.Float wait);
-            (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile));
-          ]);
     m
 
-  (* The spec's link contention in timed mode: the injection delay spends
-     virtual time on the sender before the send enters the network —
-     exactly the event the simulator schedules, span for span. One draw
-     per send when a link clause is present. *)
-  let inject_link_delay t tm ~rank ~tile =
-    match t.model with
-    | None -> ()
-    | Some m ->
-        let d = Perturb.Model.link_extra m ~src:rank in
-        if d > 0.0 then begin
-          let t0 = tm.clock.(rank) in
-          tm.clock.(rank) <- t0 +. d;
-          emit tm ~rank ~name:"perturb.link" ~cat:"comm" ~start:t0
-            [
-              ("wait", Obs.Span.Float d);
-              (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile));
-            ]
-        end
+  let send t ~rank ~dst ~axis:_ ~tile:_ m = Raw.send t.sched ~src:rank ~dst m
 
-  let send t ~rank ~dst ~axis:_ ~tile m =
-    (match t.timed with
-    | None -> ()
-    | Some tm ->
-        inject_link_delay t tm ~rank ~tile;
-        let t0 = timed_send t tm ~rank ~dst m.bytes in
-        emit tm ~rank ~name:"send" ~cat:"comm" ~start:t0
-          [
-            ("dst", Obs.Span.Int dst);
-            ("size", Obs.Span.Int m.bytes);
-            ("wait", Obs.Span.Float 0.0);
-            (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile));
-          ]);
-    Raw.send t.sched ~src:rank ~dst m
-
-  (* A revived rank re-executes its lost waves from the snapshot before
-     rejoining the schedule. The precedence graph is untouched (the
-     wavefront DAG makes rollback local by construction), so in the
-     clockless reading recovery is pure bookkeeping; timed mode charges
-     restart plus the replayed compute. *)
-  let recover_in_place t ~rank ~tile r =
-    (match t.model with
-    | Some m -> Perturb.Model.revive m ~rank
-    | None -> ());
-    r.revived.(rank) <- true;
-    match t.timed with
-    | None -> ()
-    | Some tm ->
-        let args =
-          [ (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile)) ]
-        in
-        let charge name d =
-          if d > 0.0 then begin
-            let t0 = tm.clock.(rank) in
-            tm.clock.(rank) <- t0 +. d;
-            emit tm ~rank ~name ~cat:"recover" ~start:t0 args
-          end
-        in
-        let lost = r.cur_wave.(rank) - r.last_ckpt.(rank) in
-        charge "recover.restart" r.policy.restart_cost;
-        charge "recover.replay"
-          (float_of_int lost
-          *. (Costs.compute tm.costs +. Costs.precompute tm.costs))
-
+  (* A spec'd kill: under a recovery policy the rank is revived in place
+     (the wavefront DAG makes rollback local, so the precedence graph is
+     unchanged and recovery is pure bookkeeping); without one its fiber
+     ends here. *)
   let compute t ~rank ~dir:_ ~tile ~h:_ ~x:_ ~y:_ =
     (match t.model with
     | Some m when Perturb.Model.fails_now m ~rank -> (
-        match t.recover with
-        | Some r -> recover_in_place t ~rank ~tile r
+        match t.revived with
+        | Some revived ->
+            Perturb.Model.revive m ~rank;
+            revived.(rank) <- true
         | None -> raise (Perturb.Model.Killed { rank; tile }))
     | _ -> ());
-    (match t.timed with
-    | None -> ()
-    | Some tm ->
-        let args =
-          [ (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile)) ]
-        in
-        let t0 = tm.clock.(rank) in
-        tm.clock.(rank) <- t0 +. Costs.compute tm.costs;
-        emit tm ~rank ~name:"compute" ~cat:"compute" ~start:t0 args;
-        (* The spec's compute-side perturbations, charged to the virtual
-           clock with the simulator's span names and order so the two
-           substrates stay identical cell for cell. Draws align: one noise
-           draw per tile either way. *)
-        match t.model with
-        | None -> ()
-        | Some m ->
-            let charge name d =
-              if d > 0.0 then begin
-                let t0 = tm.clock.(rank) in
-                tm.clock.(rank) <- t0 +. d;
-                emit tm ~rank ~name ~cat:"compute" ~start:t0 args
-              end
-            in
-            charge "perturb.noise"
-              (Perturb.Model.noise_extra m ~rank ~work:(Costs.compute tm.costs));
-            charge "perturb.straggler" (Perturb.Model.straggler_delay m ~rank);
-            charge "perturb.pulse" (Perturb.Model.pulse_extra m ~rank);
-            charge "perturb.periodic" (Perturb.Model.periodic_extra m ~rank));
     ( { axis = Substrate.X; tile; bytes = t.msg_ew },
       { axis = Substrate.Y; tile; bytes = t.msg_ns } )
 
-  let precompute t ~rank ~tile =
-    match t.timed with
-    | None -> ()
-    | Some tm ->
-        let d = Costs.precompute tm.costs in
-        if d > 0.0 then begin
-          let t0 = tm.clock.(rank) in
-          tm.clock.(rank) <- t0 +. d;
-          emit tm ~rank ~name:"precompute" ~cat:"compute" ~start:t0
-            [ (Obs.Timeline.wave_arg, Obs.Span.Int (wave tm ~rank ~tile)) ]
-        end
-
-  let sweep_begin t ~rank ~sweep ~dir:_ =
-    match t.timed with
-    | None -> ()
-    | Some tm -> tm.sweep.(rank) <- sweep
-
-  (* The checkpoint anchor: snapshot bookkeeping on due waves, charged
-     at the modeled per-checkpoint cost in timed mode. Without a policy
-     this is a strict no-op, so the zero config is invisible. *)
-  let tile_begin t ~rank ~pos ~wave:gwave =
-    match t.recover with
-    | None -> ()
-    | Some r ->
-        r.cur_wave.(rank) <- gwave;
-        if Perturb.Recover.due ~interval:r.policy.interval ~wave:gwave then begin
-          r.ckpts <- r.ckpts + 1;
-          r.last_ckpt.(rank) <- gwave;
-          match t.timed with
-          | None -> ()
-          | Some tm ->
-              let d = r.policy.ckpt_cost in
-              if d > 0.0 then begin
-                let t0 = tm.clock.(rank) in
-                tm.clock.(rank) <- t0 +. d;
-                emit tm ~rank ~name:"recover.checkpoint" ~cat:"recover"
-                  ~start:t0
-                  [
-                    ( Obs.Timeline.wave_arg,
-                      Obs.Span.Int (wave tm ~rank ~tile:pos.Substrate.tile) );
-                  ]
-              end
-        end
-
-  let epilogue_args =
-    [ (Obs.Timeline.wave_arg, Obs.Span.Int Obs.Timeline.epilogue_wave) ]
-
-  let fixed_work t ~rank d =
-    match t.timed with
-    | None -> ()
-    | Some tm ->
-        if d > 0.0 then begin
-          let t0 = tm.clock.(rank) in
-          tm.clock.(rank) <- t0 +. d;
-          emit tm ~rank ~name:"compute" ~cat:"compute" ~start:t0 epilogue_args
-        end
-
-  let stencil_compute t ~rank ~wg_stencil =
-    match t.timed with
-    | None -> ()
-    | Some tm ->
-        let d = Costs.stencil tm.costs ~wg_stencil in
-        if d > 0.0 then begin
-          let t0 = tm.clock.(rank) in
-          tm.clock.(rank) <- t0 +. d;
-          emit tm ~rank ~name:"compute" ~cat:"compute" ~start:t0 epilogue_args
-        end
+  let precompute _ ~rank:_ ~tile:_ = ()
+  let sweep_begin _ ~rank:_ ~sweep:_ ~dir:_ = ()
+  let tile_begin _ ~rank:_ ~pos:_ ~wave:_ = ()
+  let fixed_work _ ~rank:_ _ = ()
+  let stencil_compute _ ~rank:_ ~wg_stencil:_ = ()
 
   let halo t ~rank ~dst ~src ~bytes =
-    let t0 =
-      match t.timed with Some tm -> tm.clock.(rank) | None -> 0.0
-    in
-    (match (t.timed, dst) with
-    | Some tm, Some d -> ignore (timed_send t tm ~rank ~dst:d bytes)
-    | _ -> ());
     (match dst with
     | Some d ->
         Raw.send t.sched ~src:rank ~dst:d
           { axis = Substrate.X; tile = -1; bytes }
     | None -> ());
-    (match src with
-    | Some s -> (
-        ignore (Raw.recv t.sched ~rank ~src:s);
-        match t.timed with
-        | Some tm -> ignore (timed_recv t tm ~rank ~src:s)
-        | None -> ())
-    | None -> ());
-    match t.timed with
+    match src with
+    | Some s -> ignore (Raw.recv t.sched ~rank ~src:s)
     | None -> ()
-    | Some tm ->
-        if dst <> None || src <> None then
-          emit tm ~rank ~name:"halo" ~cat:"comm" ~start:t0
-            (("wait", Obs.Span.Float (tm.clock.(rank) -. t0)) :: epilogue_args)
 
   (* All-reduces synchronize every rank; their internal message pattern is
      a backend choice, so here each one is simply a full barrier of the
-     precedence graph (timed mode charges the eq-9 cost per round). *)
-  let allreduce t ~rank ~count ~msg_size =
-    match t.timed with
-    | None ->
-        for _ = 1 to count do
-          Raw.barrier t.sched ~rank
-        done
-    | Some tm ->
-        (* Collective noise: a seeded stall before the rank enters the
-           reduction; one draw per allreduce substrate call, aligned with
-           the other substrates. *)
-        (match t.model with
-        | None -> ()
-        | Some m ->
-            let d = Perturb.Model.coll_extra m ~rank in
-            if d > 0.0 then begin
-              let t0 = tm.clock.(rank) in
-              tm.clock.(rank) <- t0 +. d;
-              emit tm ~rank ~name:"perturb.collnoise" ~cat:"comm" ~start:t0
-                (("wait", Obs.Span.Float d) :: epilogue_args)
-            end);
-        let cost = Costs.allreduce tm.costs ~count:1 ~msg_size in
-        let first = ref nan in
-        for _ = 1 to count do
-          let t0 = timed_collective t tm ~rank ~cost in
-          if Float.is_nan !first then first := t0
-        done;
-        if count > 0 then
-          emit tm ~rank ~name:"allreduce" ~cat:"comm" ~start:!first
-            (("wait", Obs.Span.Float (tm.clock.(rank) -. !first))
-            :: epilogue_args)
+     precedence graph. *)
+  let allreduce t ~rank ~count ~msg_size:_ =
+    for _ = 1 to count do
+      Raw.barrier t.sched ~rank
+    done
 
-  let barrier t ~rank =
-    match t.timed with
-    | None -> Raw.barrier t.sched ~rank
-    | Some tm ->
-        let t0 = timed_collective t tm ~rank ~cost:(Costs.barrier tm.costs) in
-        emit tm ~rank ~name:"barrier" ~cat:"comm" ~start:t0
-          (("wait", Obs.Span.Float (tm.clock.(rank) -. t0)) :: epilogue_args)
-
-  let finish t ~rank =
-    match t.timed with
-    | None -> ()
-    | Some tm -> tm.finish.(rank) <- tm.clock.(rank)
+  let barrier t ~rank = Raw.barrier t.sched ~rank
+  let finish _ ~rank:_ = ()
 end
 
 let exec t program = Raw.exec t.sched program
 
-let checkpoints t = match t.recover with None -> 0 | Some r -> r.ckpts
-
 let outcome t =
   let recovered =
-    match t.recover with
+    match t.revived with
     | None -> []
-    | Some r ->
+    | Some revived ->
         let acc = ref [] in
-        for rank = Array.length r.revived - 1 downto 0 do
-          if r.revived.(rank) then acc := rank :: !acc
+        for rank = Array.length revived - 1 downto 0 do
+          if revived.(rank) then acc := rank :: !acc
         done;
         !acc
   in
   { (Raw.outcome t.sched) with mismatches = List.rev t.mismatches; recovered }
 
-let run ?iterations ?tiling ?perturb ?recover ?costs ?obs pg app =
+let run ?iterations ?tiling ?perturb ?recover pg app =
   let cfg = Program.of_app ?iterations ?tiling pg app in
-  let t =
-    create ?perturb ?recover ?costs ?obs
-      ~ntiles:cfg.Program.tiling.Program.ntiles ~ranks:(Proc_grid.cores pg)
-      ~msg_ew:(Wavefront_core.App_params.message_size_ew app pg)
-      ~msg_ns:(Wavefront_core.App_params.message_size_ns app pg)
-      ()
-  in
+  let t = of_app ?perturb ?recover pg app in
   exec t (fun rank -> Program.run_rank (module Substrate) t cfg rank);
   outcome t

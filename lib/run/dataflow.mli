@@ -71,52 +71,28 @@ type t
 val create :
   ?perturb:Perturb.Spec.t ->
   ?recover:Perturb.Recover.policy ->
-  ?costs:Costs.t ->
-  ?obs:Obs.Tracer.t ->
-  ?ntiles:int ->
   ranks:int ->
   msg_ew:int ->
   msg_ns:int ->
   unit ->
   t
 (** [perturb] marks the spec's stragglers for deferred scheduling and arms
-    its failures; the spec's timed clauses (noise, link delay) are no-ops
-    on this clockless backend.
+    its failures; the spec's timed clauses (noise, link delay, pulses,
+    collective noise) are no-ops on this clockless backend.
 
-    [recover] simulates the checkpoint/rollback protocol: snapshot
-    bookkeeping on due waves, and a spec'd failure revives the rank in
-    place instead of ending its fiber (the wavefront DAG makes rollback
-    local, so the precedence graph is unchanged). In timed mode the
-    checkpoint, restart and replayed-wave costs are charged on the
-    virtual clocks and tagged as [recover.*] spans. A disabled policy
-    (interval 0) or its absence is bitwise invisible.
-
-    [costs] switches on timed mode: each rank carries a virtual clock
-    advanced by the analytic model's per-operation costs, every message a
-    modeled delivery time, and collectives synchronize the clocks — the
-    scheduler's interleaving stays the clockless one; time is an
-    annotation on the precedence graph. [obs] (requires [costs]) records a
-    wave-tagged span per operation, stamped in virtual time, from which
-    {!Obs.Timeline.of_spans} reconstructs the analytic per-rank x per-wave
-    term schedule. [ntiles] (default 1) is the tiles-per-sweep factor of
-    the wave numbering [wave = sweep * ntiles + tile]. *)
+    [recover] arms the checkpoint/rollback protocol: a spec'd failure
+    revives the rank in place instead of ending its fiber (the wavefront
+    DAG makes rollback local, so the precedence graph is unchanged) and
+    the outcome lists it as recovered. A disabled policy (interval 0) or
+    its absence is bitwise invisible. *)
 
 val of_app :
   ?perturb:Perturb.Spec.t ->
   ?recover:Perturb.Recover.policy ->
-  ?costs:Costs.t ->
-  ?obs:Obs.Tracer.t ->
   Proc_grid.t ->
   Wavefront_core.App_params.t ->
   t
-(** [ntiles] is derived from the app's default tiling. *)
-
-val finish_times : t -> float array option
-(** Timed mode only: each rank's virtual clock at its {!Substrate.finish},
-    after {!exec}. *)
-
-val elapsed : t -> float option
-(** Timed mode only: the modeled makespan [max_r finish_times.(r)]. *)
+(** {!create} with the app's message sizes on this grid. *)
 
 module Substrate : Substrate.S with type t = t and type payload = msg
 
@@ -127,17 +103,11 @@ val exec : t -> (int -> unit) -> unit
 
 val outcome : t -> outcome
 
-val checkpoints : t -> int
-(** Snapshots taken across all ranks under the recovery policy (0 when
-    recovery is off). *)
-
 val run :
   ?iterations:int ->
   ?tiling:Program.tiling ->
   ?perturb:Perturb.Spec.t ->
   ?recover:Perturb.Recover.policy ->
-  ?costs:Costs.t ->
-  ?obs:Obs.Tracer.t ->
   Proc_grid.t ->
   Wavefront_core.App_params.t ->
   outcome

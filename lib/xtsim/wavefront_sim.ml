@@ -20,7 +20,7 @@
      per-rank RNG (OS noise / cache variability);
    - [perturb]: a full Perturb.Spec — one-sided seeded compute noise, link
      injection delays, permanent stragglers and rank failures — the same
-     spec the real runtime and the dataflow backend accept (including the
+     spec the real runtime and the batched engine accept (including the
      wave-indexed idle-wave scenarios: pulse, periodic, collective noise).
      Injected delays advance the simulated clock as dedicated events and
      are tagged as "perturb.noise" / "perturb.straggler" / "perturb.link" /

@@ -1,9 +1,9 @@
 (* Tests for the wave-batched engine and its supporting layers: the
-   cell-for-cell differential identities against the timed dataflow
-   replay and the event-level simulator (perturbations, recovery and
-   multi-iteration schedules included), bitwise determinism across
-   domain counts, the streaming timeline accumulator, the SoA event
-   heap, and the event engine's structured rank ceiling. *)
+   cell-for-cell differential identities against the event-level
+   simulator (perturbations, recovery and multi-iteration schedules
+   included), the epilogue and collective-noise pins, bitwise
+   determinism across domain counts, the streaming timeline accumulator,
+   the SoA event heap, and the event engine's structured rank ceiling. *)
 
 open Wgrid
 
@@ -17,11 +17,27 @@ let spec s =
   | Ok v -> v
   | Error (`Msg e) -> Alcotest.failf "bad spec %S: %s" s e
 
-(* The dataflow reference timeline for a configuration, via a span
-   tracer — the yardstick every batched timeline is held to. *)
-let dataflow_timeline ?iterations ?perturb ?recover ~waves costs pg app =
+(* Sweep3D without its all-reduce epilogue: the event simulator runs the
+   all-reduce as a message-level collective where the batched engine
+   charges eq. 9, so the cell-for-cell identities hold for the wavefront
+   section; the epilogue has its own pins below. *)
+let sweep_no_op n =
+  { (sweep n) with
+    Wavefront_core.App_params.nonwavefront = Wavefront_core.App_params.No_op
+  }
+
+let event_machine pg =
+  Xtsim.Machine.v ~model_bus:false ~cmp:Cmp.single_core xt4 pg
+
+(* The event simulator's timeline for a configuration (single-core
+   nodes, bus off), via a span tracer — the independent reference every
+   batched timeline is held to. *)
+let event_timeline ?iterations ?perturb ?recover ~waves pg app =
   let tr = Obs.Tracer.create () in
-  let o = Wrun.Dataflow.run ?iterations ?perturb ?recover ~costs ~obs:tr pg app in
+  let o =
+    Xtsim.Wavefront_sim.run ?iterations ?perturb ?recover ~obs:tr
+      (event_machine pg) app
+  in
   (o, Obs.Timeline.of_spans ~waves (Obs.Tracer.spans tr))
 
 (* The batched engine's timeline reconstructed the same way (traced). *)
@@ -30,34 +46,31 @@ let batched_span_timeline ?iterations ?perturb ?recover ~waves costs pg app =
   let o = Wrun.Batched.run ?iterations ?perturb ?recover ~obs:tr ~costs pg app in
   (o, Obs.Timeline.of_spans ~waves (Obs.Tracer.spans tr))
 
-(* --- Differential identity: batched = dataflow, cell for cell --- *)
+(* --- Differential identity: batched = event simulator, cell for cell --- *)
 
-let test_dataflow_identity () =
+let test_traced_identity () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_no_op 16 in
   let costs = costs_for pg app in
   let ob, tl_spans = batched_span_timeline ~waves:0 costs pg app in
-  let odf, tl_df = dataflow_timeline ~waves:ob.waves costs pg app in
-  Alcotest.(check bool) "both completed" true (ob.completed && odf.completed);
-  Alcotest.(check int) "same messages" odf.messages ob.messages;
+  let oe, tl_ev = event_timeline ~waves:ob.waves pg app in
+  Alcotest.(check bool) "both completed" true (ob.completed && oe.completed);
+  Alcotest.(check int) "same messages" oe.sends ob.messages;
   Alcotest.(check int) "no orphans" 0 ob.orphaned;
   Alcotest.(check bool) "traced timelines coincide" true
-    (Obs.Timeline.equal ~tol:1e-6 tl_df tl_spans);
+    (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_spans);
   (* The streaming cell path reconstructs the identical dense grid. *)
   let oc, tl_cells = Wrun.Batched.run_timeline ~costs pg app in
   Alcotest.(check bool) "cell-streamed timeline coincides" true
-    (Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells);
+    (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells);
   Alcotest.(check (float 0.0)) "elapsed agrees bitwise with traced run"
     ob.elapsed oc.elapsed
 
 let test_event_identity () =
-  (* Same configuration the event-vs-dataflow identity test pins: with
-     single-core nodes and the bus off, all three substrates coincide. *)
-  let app =
-    { (sweep 16) with
-      Wavefront_core.App_params.nonwavefront = Wavefront_core.App_params.No_op
-    }
-  in
+  (* The timeline report's pairing on the same footing: with single-core
+     nodes and the bus off, either observed engine and the batched model
+     side coincide. *)
+  let app = sweep_no_op 16 in
   let cfg =
     Wavefront_core.Plugplay.config ~cmp:Cmp.single_core xt4 ~cores:4
   in
@@ -66,7 +79,7 @@ let test_event_identity () =
     Harness.Timeline_report.run ~model_bus:false ~engine:Harness.Engine.Batched
       cfg app
   in
-  Alcotest.(check bool) "batched observed = its dataflow side" true
+  Alcotest.(check bool) "batched observed = its model side" true
     (Obs.Timeline.equal ~tol:1e-6 ba.observed ba.model);
   Alcotest.(check bool) "batched observed = event observed" true
     (Obs.Timeline.equal ~tol:1e-6 ev.observed ba.observed)
@@ -88,7 +101,7 @@ let perturbed_cases =
 
 let test_perturbed_identities () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_no_op 16 in
   let costs = costs_for pg app in
   List.iter
     (fun (name, s, recover, iterations) ->
@@ -97,17 +110,16 @@ let test_perturbed_identities () =
         batched_span_timeline ~iterations ~perturb ?recover ~waves:0 costs pg
           app
       in
-      let odf, tl_df =
-        dataflow_timeline ~iterations ~perturb ?recover ~waves:ob.waves costs
-          pg app
+      let oe, tl_ev =
+        event_timeline ~iterations ~perturb ?recover ~waves:ob.waves pg app
       in
       Alcotest.(check bool)
-        (name ^ ": same completion") odf.completed ob.completed;
-      Alcotest.(check (list int)) (name ^ ": same failed") odf.failed ob.failed;
-      Alcotest.(check int) (name ^ ": same messages") odf.messages ob.messages;
+        (name ^ ": same completion") oe.completed ob.completed;
+      Alcotest.(check (list int)) (name ^ ": same failed") oe.failed ob.failed;
+      Alcotest.(check int) (name ^ ": same messages") oe.sends ob.messages;
       Alcotest.(check bool)
         (name ^ ": traced timelines coincide") true
-        (Obs.Timeline.equal ~tol:1e-6 tl_df tl_b);
+        (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_b);
       (* The streaming cell contract merges multi-iteration visits, so the
          dense-grid identity is a single-iteration statement. *)
       if iterations = 1 then begin
@@ -117,27 +129,89 @@ let test_perturbed_identities () =
         in
         Alcotest.(check bool)
           (name ^ ": cell-streamed timeline coincides") true
-          (Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells)
+          (Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells)
       end)
     perturbed_cases
 
-let test_recovery_matches_dataflow () =
+let test_recovery_matches_event () =
   let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
+  let app = sweep_no_op 16 in
   let costs = costs_for pg app in
   let perturb = spec "seed=5 fail=5:40" in
   let recover =
     { Perturb.Recover.interval = 16; ckpt_cost = 25.0; restart_cost = 400.0 }
   in
   let ob = Wrun.Batched.run ~perturb ~recover ~costs pg app in
-  let odf = Wrun.Dataflow.run ~perturb ~recover ~costs pg app in
+  let oe =
+    Xtsim.Wavefront_sim.run ~perturb ~recover (event_machine pg) app
+  in
   Alcotest.(check bool) "batched completed" true ob.completed;
-  Alcotest.(check (list int)) "same recovered set" odf.recovered ob.recovered;
+  Alcotest.(check (list int)) "same recovered set" oe.recovered ob.recovered;
+  Alcotest.(check int) "same checkpoint count" oe.checkpoints ob.checkpoints;
   (* Every rank snapshots on the policy's schedule. *)
   Alcotest.(check int) "checkpoint count follows the schedule"
     (Perturb.Recover.checkpoints ~interval:recover.interval ~waves:ob.waves
     * ob.ranks)
     ob.checkpoints
+
+(* --- The epilogue, pinned where the event simulator differs --- *)
+
+(* The last rank into the epilogue waits on nobody, so the narrowest
+   epilogue cell is the pure non-wavefront charge: the closed form's
+   Tnonwavefront for every epilogue kind. *)
+let test_epilogue_pin () =
+  let cfg = Wavefront_core.Plugplay.config ~cmp:Cmp.single_core xt4 ~cores:16 in
+  List.iter
+    (fun (name, app) ->
+      let costs = costs_for cfg.pgrid app in
+      let o, tl = Wrun.Batched.run_timeline ~costs cfg.pgrid app in
+      let narrowest =
+        Array.fold_left
+          (fun acc row -> Float.min acc (Obs.Timeline.cell_width row.(o.waves)))
+          infinity tl.cells
+      in
+      Alcotest.(check (float 1e-6))
+        (name ^ ": narrowest epilogue cell = Tnonwavefront")
+        (Wavefront_core.Plugplay.nonwavefront_time app cfg)
+        narrowest)
+    [
+      ("sweep3d", sweep 16);
+      ("lu", Apps.Lu.params (Data_grid.cube 16));
+      ("chimaera", Apps.Chimaera.params (Data_grid.cube 16));
+      ( "fixed",
+        { (sweep 16) with
+          Wavefront_core.App_params.nonwavefront =
+            Wavefront_core.App_params.Fixed 75.0 } );
+    ]
+
+(* Collective noise is drawn once per all-reduce call on every rank, so
+   the injected stall per rank matches the event simulator's bit for bit
+   even though the two engines price the all-reduce itself differently. *)
+let test_collnoise_pin () =
+  let pg = Proc_grid.of_cores 16 in
+  let app = sweep 16 in
+  let perturb = spec "seed=7 collnoise=80" in
+  let per_rank tr =
+    let tot = Array.make 16 0.0 in
+    List.iter
+      (fun (s : Obs.Span.t) ->
+        if s.name = "perturb.collnoise" then
+          tot.(s.rank) <- tot.(s.rank) +. s.dur)
+      (Obs.Tracer.spans tr);
+    tot
+  in
+  let tr_b = Obs.Tracer.create () and tr_e = Obs.Tracer.create () in
+  ignore (Wrun.Batched.run ~perturb ~obs:tr_b ~costs:(costs_for pg app) pg app);
+  ignore (Xtsim.Wavefront_sim.run ~perturb ~obs:tr_e (event_machine pg) app);
+  let b = per_rank tr_b and e = per_rank tr_e in
+  Alcotest.(check bool) "noise was injected" true
+    (Array.exists (fun d -> d > 0.0) b);
+  Array.iteri
+    (fun rank d ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "rank %d collnoise total" rank)
+        d b.(rank))
+    e
 
 (* --- Bitwise determinism across domain counts --- *)
 
@@ -329,7 +403,7 @@ let test_heap_compat () =
 
 let qcheck_differential =
   QCheck.Test.make ~count:8
-    ~name:"batched = dataflow = domains-sharded on random configurations"
+    ~name:"batched = event = domains-sharded on random configurations"
     QCheck.(
       triple
         (QCheck.make (QCheck.Gen.oneofl [ 4; 9; 16; 64; 256 ]))
@@ -337,7 +411,7 @@ let qcheck_differential =
         (pair (int_range 0 1000) (int_range 0 3)))
     (fun (cores, nz, (seed, kind)) ->
       let pg = Proc_grid.of_cores cores in
-      let app = sweep nz in
+      let app = sweep_no_op nz in
       let costs = costs_for pg app in
       let perturb =
         match kind with
@@ -347,13 +421,12 @@ let qcheck_differential =
         | _ -> Some (spec (Printf.sprintf "seed=%d pulse=0:10:300" seed))
       in
       let ob, tl_cells = Wrun.Batched.run_timeline ?perturb ~costs pg app in
-      let _, tl_df =
-        dataflow_timeline ?perturb ~waves:ob.waves costs pg app
-      in
+      let oe, tl_ev = event_timeline ?perturb ~waves:ob.waves pg app in
       let od, tl_dom =
         Wrun.Batched.run_timeline ?perturb ~domains:2 ~costs pg app
       in
-      Obs.Timeline.equal ~tol:1e-6 tl_df tl_cells
+      Obs.Timeline.equal ~tol:1e-6 tl_ev tl_cells
+      && oe.sends = ob.messages
       && Obs.Timeline.equal ~tol:0.0 tl_cells tl_dom
       && od.elapsed = ob.elapsed)
 
@@ -361,15 +434,22 @@ let suite =
   [
     ( "batched.identity",
       [
-        Alcotest.test_case "batched = timed dataflow" `Quick
-          test_dataflow_identity;
+        Alcotest.test_case "traced = streamed = event" `Quick
+          test_traced_identity;
         Alcotest.test_case "batched = event simulator" `Quick
           test_event_identity;
         Alcotest.test_case "perturbed and recovering runs" `Quick
           test_perturbed_identities;
-        Alcotest.test_case "recovery outcome matches dataflow" `Quick
-          test_recovery_matches_dataflow;
+        Alcotest.test_case "recovery outcome matches event" `Quick
+          test_recovery_matches_event;
         QCheck_alcotest.to_alcotest qcheck_differential;
+      ] );
+    ( "batched.epilogue",
+      [
+        Alcotest.test_case "narrowest cell = Tnonwavefront" `Quick
+          test_epilogue_pin;
+        Alcotest.test_case "collnoise bit-equal to event" `Quick
+          test_collnoise_pin;
       ] );
     ( "batched.domains",
       [

@@ -1,6 +1,6 @@
 (* Tests for the idle-wave analytics: the pinned single-pulse chain
    scenario where the analytic model, the event-level simulator and the
-   timed dataflow backend agree exactly (and the real kernel within a
+   batched engine agree exactly (and the real kernel within a
    busy-wait tolerance), QCheck properties for origin recovery and speed
    reconciliation, detector edge cases, and the Chrome-trace category
    tagging of injected spans. *)
@@ -42,9 +42,9 @@ let test_pinned_single_pulse () =
   let r = run_chain (pulse ~rank:3 ~wave:8 500.0) in
   (* The two deterministic substrates coincide cell for cell even under
      the pulse, so one detector result speaks for both. *)
-  Alcotest.(check bool) "sim = timed dataflow under pulse" true r.identity;
-  Alcotest.(check bool) "dataflow detector agrees on origin" true
-    (r.sim.origin = r.dataflow.origin);
+  Alcotest.(check bool) "sim = batched under pulse" true r.identity;
+  Alcotest.(check bool) "batched detector agrees on origin" true
+    (r.sim.origin = r.batched.origin);
   (* Origin recovered exactly, amplitude to float precision. *)
   Alcotest.(check (option (pair int int))) "origin (rank, wave)"
     (Some (3, 8)) r.sim.origin;
@@ -85,8 +85,8 @@ let test_pinned_single_pulse () =
     (fit r.sim).points;
   Alcotest.(check (float 1e-6)) "sim speed = analytic hop cost" hop
     (fit r.sim).hop_latency;
-  Alcotest.(check (float 1e-6)) "dataflow speed = analytic hop cost" hop
-    (fit r.dataflow).hop_latency;
+  Alcotest.(check (float 1e-6)) "batched speed = analytic hop cost" hop
+    (fit r.batched).hop_latency;
   Alcotest.(check (float 1e-9)) "no decay on a silent system" 0.0
     (fit r.sim).decay;
   (match Harness.Idlewave_report.speed_error r with
@@ -217,7 +217,7 @@ let prop_zero_spec_silent =
        QCheck.Gen.(pair (int_range 3 8) (int_range 4 10)))
     (fun (ranks, nz) ->
       let r = run_chain ~ranks ~nz Perturb.Spec.zero in
-      r.sim.origin = None && r.sim.fronts = [] && r.dataflow.fronts = [])
+      r.sim.origin = None && r.sim.fronts = [] && r.batched.fronts = [])
 
 (* --- Detector edge cases --- *)
 

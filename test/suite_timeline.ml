@@ -1,7 +1,8 @@
 (* Tests for the wave-resolved timeline analytics: golden reconstruction
    from hand-built spans (including a truncated trace), the cross-substrate
-   identity between the event-level simulator and the timed dataflow
-   backend, and the exactness of the wave-by-wave divergence attribution. *)
+   identity between the event-level simulator and the batched engine's
+   analytic term schedule, and the exactness of the wave-by-wave
+   divergence attribution. *)
 
 let span = Obs.Span.v
 
@@ -143,14 +144,14 @@ let identity_report () =
 
 let test_substrate_identity () =
   let r = identity_report () in
-  (* Same spec, two substrates (event-level simulator vs the timed dataflow
-     fibers): identical rank x wave decompositions to float precision. *)
+  (* Same spec, two substrates (event-level simulator vs the batched
+     engine): identical rank x wave decompositions to float precision. *)
   Alcotest.(check int) "same ranks" r.observed.ranks r.model.ranks;
   Alcotest.(check int) "same waves" r.observed.waves r.model.waves;
   Alcotest.(check bool) "timelines coincide" true
     (Obs.Timeline.equal ~tol:1e-6 r.observed r.model);
   Alcotest.(check int) "no spans dropped (sim)" 0 r.observed.dropped;
-  Alcotest.(check int) "no spans dropped (dataflow)" 0 r.model.dropped
+  Alcotest.(check int) "no spans dropped (model)" 0 r.model.dropped
 
 let test_divergence_exact () =
   let r = identity_report () in
@@ -209,7 +210,7 @@ let suite =
       ] );
     ( "timeline.identity",
       [
-        Alcotest.test_case "xtsim = timed dataflow" `Quick
+        Alcotest.test_case "xtsim = batched model" `Quick
           test_substrate_identity;
         Alcotest.test_case "divergence attribution exact" `Quick
           test_divergence_exact;
