@@ -1383,8 +1383,10 @@ let measure_cmd =
    path's units of work, judged against pinned budgets. The predictor's
    closed-form evaluator and the batched engine's steady-state step are
    contractually allocation-free (budget 0, pinned exactly); the full
-   batched run carries a nonzero ratchet with headroom, so a change that
-   starts boxing in either hot loop trips --assert-zero-alloc in CI. *)
+   batched run and the daemon's predict path carry nonzero ratchets with
+   headroom, so a change that starts boxing in either hot loop, or puts
+   per-core work back on the predict path, trips --assert-zero-alloc in
+   CI. *)
 
 type alloc_target = {
   tname : string;
@@ -1451,17 +1453,16 @@ let alloc_targets =
     {
       tname = "serve-predict";
       tdoc =
-        "Api.predict_into: the daemon's parse -> Eval.run -> serialize hot \
-         path (ratchet, not zero: JSON parse and response render allocate a \
-         bounded constant)";
-      (* Measured at 211,424 minor words per request on this body at the
-         default 4096-core grid, ~51 words/core: the parse and the
-         response render are small constants, the bulk is the
-         per-request Eval.create hoisting its O(cores) communication
-         tables. The ratchet pins 256k so only a real regression trips
-         it — quadratic table growth or a per-column response copy is
-         tens of millions. *)
-      budget = 256_000.0;
+        "Api.predict_into: the daemon's parse -> Eval.create/run -> \
+         serialize hot path (ratchet, not zero: JSON parse, the O(cols + \
+         rows) tables and the response render allocate a bounded amount)";
+      (* Measured at 3,256 minor words per request on this body at the
+         default 4096-core (64x64) grid: the JSON parse, the response
+         render and Eval.create's four O(cols + rows) (r2b) tables plus
+         its one-row StartP buffer. The ratchet pins 16k: a return to the
+         per-cell path (a locality probe and boxed floats in every cell,
+         ~51 words per core) measures 211k here and trips it. *)
+      budget = 16_384.0;
       titerations = 1000;
       prepare =
         (fun ~cores ->
@@ -1493,7 +1494,7 @@ let telemetry targets cores assert_zero ctx =
        needs a 3x3 processor grid)@.";
     exit 2
   end;
-  (* Default set: the contractual targets. The negative control only
+  (* Default set: every budgeted target. The negative control only
      runs when asked for — its whole point is to exit nonzero. *)
   let selected =
     match targets with
@@ -1573,9 +1574,11 @@ let telemetry_cmd =
          & info [ "target" ] ~docv:"T"
              ~doc:
                "Target to measure (repeatable): predictor, batched-step, \
-                batched-run or control-alloc. Default: the three \
-                contractual targets; control-alloc is a deliberately \
-                allocating closure that proves the gate can fail.")
+                batched-run, serve-predict or control-alloc. Default: the \
+                four budgeted targets (predictor and batched-step pinned \
+                at 0, batched-run and serve-predict ratchets); \
+                control-alloc is a deliberately allocating closure that \
+                proves the gate can fail.")
   in
   let cores =
     Arg.(value & opt int 4096

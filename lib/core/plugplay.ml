@@ -19,7 +19,10 @@
    Cx x Cy node rectangle (Table 6), all communication in (r4) is off-node
    (the stack proceeds at the rate of the slowest direction), and the
    shared-bus interference term I = o_dma + size * G_dma is added to the
-   sends and receives of (r4). *)
+   sends and receives of (r4).
+
+   One implementation evaluates all of it: [Eval] (below), of which
+   [iteration] is a thin wrapper. *)
 
 open Wgrid
 module Comm = Loggp.Comm_model
@@ -72,48 +75,6 @@ let contention_coeffs (cmp : Cmp.t) =
   else if cmp.cy = 1 then (cpn /. 2.0, 0.0)
   else (cpn /. 4.0, cpn /. 4.0)
 
-(* The pipeline-fill recurrence (r2a)/(r2b). Returns the StartP array
-   (row-major, core (i,j) at index (j-1)*cols + (i-1)). *)
-let start_times (app : App_params.t) cfg ~w ~w_pre ~msg_ew ~msg_ns =
-  ignore app;
-  let { Proc_grid.cols; rows } = cfg.pgrid in
-  let start = Array.make (cols * rows) 0.0 in
-  let idx i j = ((j - 1) * cols) + (i - 1) in
-  let locality src dir = Cmp.link_locality cfg.cmp ~src dir in
-  for j = 1 to rows do
-    for i = 1 to cols do
-      if i = 1 && j = 1 then start.(idx 1 1) <- w_pre (* r2a *)
-      else begin
-        let from_west =
-          if i = 1 then neg_infinity
-          else
-            let arrive =
-              Comm.total cfg.platform (locality (i - 1, j) E) msg_ew
-            in
-            let recv_north =
-              if j = 1 then 0.0
-              else Comm.receive cfg.platform (locality (i, j - 1) S) msg_ns
-            in
-            start.(idx (i - 1) j) +. w +. arrive +. recv_north
-        in
-        let from_north =
-          if j = 1 then neg_infinity
-          else
-            let send_east =
-              if i = cols then 0.0
-              else Comm.send cfg.platform (locality (i, j - 1) E) msg_ew
-            in
-            let arrive =
-              Comm.total cfg.platform (locality (i, j - 1) S) msg_ns
-            in
-            start.(idx i (j - 1)) +. w +. send_east +. arrive
-        in
-        start.(idx i j) <- Float.max from_west from_north
-      end
-    done
-  done;
-  start
-
 (* The non-wavefront (between-iteration) cost. *)
 let nonwavefront_time (app : App_params.t) cfg =
   match app.nonwavefront with
@@ -137,54 +98,181 @@ let nonwavefront_time (app : App_params.t) cfg =
       in
       compute +. halo
 
-let iteration (app : App_params.t) cfg =
-  let pg = cfg.pgrid in
-  let cells_tile = Decomp.cells_per_tile app.grid pg ~htile:app.htile in
-  let w = app.wg *. cells_tile (* r1b *) in
-  let w_pre = app.wg_pre *. cells_tile (* r1a *) in
-  let msg_ew = App_params.message_size_ew app pg in
-  let msg_ns = App_params.message_size_ns app pg in
-  let start = start_times app cfg ~w ~w_pre ~msg_ew ~msg_ns in
-  let at i j = start.(((j - 1) * pg.cols) + (i - 1)) in
-  let t_diagfill = at 1 pg.rows (* r3a *) in
-  let t_fullfill = at pg.cols pg.rows (* r3b *) in
-  (* (r4): all communication off-node; bus interference added per Table 6. *)
-  let off = cfg.platform.offnode in
-  let coeff_ew, coeff_ns =
-    if cfg.contention then contention_coeffs cfg.cmp else (0.0, 0.0)
-  in
-  let i_ew = coeff_ew *. Comm.contention_i cfg.platform.onchip msg_ew in
-  let i_ns = coeff_ns *. Comm.contention_i cfg.platform.onchip msg_ns in
-  (* Optional handshake back-propagation terms of the Table 4 model
-     ((m-1)L and (n-2)L per tile): significant on high-latency platforms
-     like the SP/2, negligible on the XT4 (paper Section 4.2). *)
-  let sync =
-    if cfg.sync_terms then
-      float_of_int (pg.rows - 1 + max 0 (pg.cols - 2)) *. off.l
-    else 0.0
-  in
-  let per_tile =
-    Comm.receive_offnode off msg_ew +. i_ew (* ReceiveW *)
-    +. Comm.receive_offnode off msg_ns +. i_ns (* ReceiveN *)
-    +. w
-    +. Comm.send_offnode off msg_ew +. i_ew (* SendE *)
-    +. Comm.send_offnode off msg_ns +. i_ns (* SendS *)
-    +. w_pre +. sync
-  in
-  let ntiles = Tile.ntiles ~nz:app.grid.nz ~htile:app.htile in
-  let t_stack = (per_tile *. ntiles) -. w_pre in
-  let t_nonwavefront = nonwavefront_time app cfg in
-  let c = App_params.counts app in
-  let t_iteration =
-    (float_of_int c.ndiag *. t_diagfill)
-    +. (float_of_int c.nfull *. t_fullfill)
-    +. (float_of_int c.nsweeps *. t_stack)
-    +. t_nonwavefront
-  in
-  {
-    w; w_pre; msg_ew; msg_ns; t_diagfill; t_fullfill; t_stack;
-    t_nonwavefront; t_iteration;
+(* --- The evaluator --- *)
+
+(* Everything but the recurrence is a closed form of the configuration,
+   so [create] computes it outright: (r1), the message sizes, (r4),
+   Tnonwavefront, and the four (r2b) communication terms. Those collapse
+   into per-column and per-row tables because [Cmp.link_locality] of an
+   E link depends only on its source column and of an S link only on its
+   source row (the node rectangle tiles the grid): O(cols + rows)
+   storage and locality probes, no recurrence.
+
+   [run] is then pure float-array arithmetic over preallocated unboxed
+   storage and allocates zero minor words per call (pinned by the
+   telemetry gate; the compiler here is classic ocamlopt, so any record,
+   closure or boxed cross-module float return in the loop would show up
+   immediately). StartP is a single row of [cols] floats updated in
+   place: when cell (i,j) is computed, slot i-1 already holds
+   StartP(i-1,j) and slot i still holds StartP(i,j-1), the two cells
+   (r2b) reads. *)
+module Eval = struct
+  type out = {
+    mutable t_diagfill : float;
+    mutable t_fullfill : float;
+    mutable t_iteration : float;
   }
+
+  type nonrec t = {
+    cols : int;
+    rows : int;
+    w : float;
+    w_pre : float;
+    msg_ew : int;
+    msg_ns : int;
+    (* (r2b) terms per link: E-link out of column i, S-link out of row j. *)
+    ew_total : float array;  (* .(i), i in 1..cols-1 *)
+    ew_send : float array;
+    ns_total : float array;  (* .(j), j in 1..rows-1 *)
+    ns_recv : float array;
+    start : float array;  (* the StartP row, reused every run *)
+    ndiag : float;
+    nfull : float;
+    t_stack : float;
+    stack_term : float;  (* nsweeps * t_stack *)
+    t_nonwavefront : float;
+    out : out;
+  }
+
+  let create (app : App_params.t) cfg =
+    let pg = cfg.pgrid in
+    let cols = pg.Proc_grid.cols and rows = pg.Proc_grid.rows in
+    let cells_tile = Decomp.cells_per_tile app.grid pg ~htile:app.htile in
+    let w = app.wg *. cells_tile (* r1b *) in
+    let w_pre = app.wg_pre *. cells_tile (* r1a *) in
+    let msg_ew = App_params.message_size_ew app pg in
+    let msg_ns = App_params.message_size_ns app pg in
+    let locality src dir = Cmp.link_locality cfg.cmp ~src dir in
+    let ew_total = Array.make (max 1 cols) 0.0 in
+    let ew_send = Array.make (max 1 cols) 0.0 in
+    for i = 1 to cols - 1 do
+      let loc = locality (i, 1) Cmp.E in
+      ew_total.(i) <- Comm.total cfg.platform loc msg_ew;
+      ew_send.(i) <- Comm.send cfg.platform loc msg_ew
+    done;
+    let ns_total = Array.make (max 1 rows) 0.0 in
+    let ns_recv = Array.make (max 1 rows) 0.0 in
+    for j = 1 to rows - 1 do
+      let loc = locality (1, j) Cmp.S in
+      ns_total.(j) <- Comm.total cfg.platform loc msg_ns;
+      ns_recv.(j) <- Comm.receive cfg.platform loc msg_ns
+    done;
+    (* (r4): all communication off-node; bus interference added per
+       Table 6. *)
+    let off = cfg.platform.offnode in
+    let coeff_ew, coeff_ns =
+      if cfg.contention then contention_coeffs cfg.cmp else (0.0, 0.0)
+    in
+    let i_ew = coeff_ew *. Comm.contention_i cfg.platform.onchip msg_ew in
+    let i_ns = coeff_ns *. Comm.contention_i cfg.platform.onchip msg_ns in
+    (* Optional handshake back-propagation terms of the Table 4 model
+       ((m-1)L and (n-2)L per tile): significant on high-latency platforms
+       like the SP/2, negligible on the XT4 (paper Section 4.2). *)
+    let sync =
+      if cfg.sync_terms then float_of_int (rows - 1 + max 0 (cols - 2)) *. off.l
+      else 0.0
+    in
+    let per_tile =
+      Comm.receive_offnode off msg_ew +. i_ew (* ReceiveW *)
+      +. Comm.receive_offnode off msg_ns +. i_ns (* ReceiveN *)
+      +. w
+      +. Comm.send_offnode off msg_ew +. i_ew (* SendE *)
+      +. Comm.send_offnode off msg_ns +. i_ns (* SendS *)
+      +. w_pre +. sync
+    in
+    let ntiles = Tile.ntiles ~nz:app.grid.nz ~htile:app.htile in
+    let t_stack = (per_tile *. ntiles) -. w_pre in
+    let t_nonwavefront = nonwavefront_time app cfg in
+    let c = App_params.counts app in
+    {
+      cols;
+      rows;
+      w;
+      w_pre;
+      msg_ew;
+      msg_ns;
+      ew_total;
+      ew_send;
+      ns_total;
+      ns_recv;
+      start = Array.make cols 0.0;
+      ndiag = float_of_int c.ndiag;
+      nfull = float_of_int c.nfull;
+      t_stack;
+      stack_term = float_of_int c.nsweeps *. t_stack;
+      t_nonwavefront;
+      out = { t_diagfill = 0.0; t_fullfill = 0.0; t_iteration = 0.0 };
+    }
+
+  let run e =
+    let cols = e.cols and rows = e.rows in
+    let row = e.start in
+    let ewt = e.ew_total and ews = e.ew_send in
+    let nst = e.ns_total and nsr = e.ns_recv in
+    let w = e.w in
+    for j = 1 to rows do
+      for i = 1 to cols do
+        if i = 1 && j = 1 then row.(0) <- e.w_pre (* r2a *)
+        else begin
+          let fw =
+            if i = 1 then neg_infinity
+            else
+              row.(i - 2) +. w +. ewt.(i - 1)
+              +. (if j = 1 then 0.0 else nsr.(j - 1))
+          in
+          let fn =
+            if j = 1 then neg_infinity
+            else
+              row.(i - 1) +. w
+              +. (if i = cols then 0.0 else ews.(i))
+              +. nst.(j - 1)
+          in
+          (* plain compare, not [Float.max]: neither side is ever nan or
+             -0., and the call would box its float arguments *)
+          row.(i - 1) <- (if fw >= fn then fw else fn) (* r2b *)
+        end
+      done
+    done;
+    let o = e.out in
+    o.t_diagfill <- row.(0) (* r3a *);
+    o.t_fullfill <- row.(cols - 1) (* r3b *);
+    o.t_iteration <-
+      (e.ndiag *. o.t_diagfill)
+      +. (e.nfull *. o.t_fullfill)
+      +. e.stack_term +. e.t_nonwavefront (* r5 *)
+
+  let t_iteration e = e.out.t_iteration
+  let t_diagfill e = e.out.t_diagfill
+  let t_fullfill e = e.out.t_fullfill
+
+  let result e : result =
+    {
+      w = e.w;
+      w_pre = e.w_pre;
+      msg_ew = e.msg_ew;
+      msg_ns = e.msg_ns;
+      t_diagfill = e.out.t_diagfill;
+      t_fullfill = e.out.t_fullfill;
+      t_stack = e.t_stack;
+      t_nonwavefront = e.t_nonwavefront;
+      t_iteration = e.out.t_iteration;
+    }
+end
+
+let iteration app cfg =
+  let e = Eval.create app cfg in
+  Eval.run e;
+  Eval.result e
 
 let time_per_iteration app cfg = (iteration app cfg).t_iteration
 
@@ -234,136 +322,6 @@ let components app cfg =
   in
   let computation = time_per_iteration app comp_cfg in
   { total; computation; communication = total -. computation }
-
-(* --- The allocation-free evaluator --- *)
-
-(* The serving path: the same (r1a)-(r5) arithmetic as [iteration], with
-   everything a repeated evaluation would re-derive hoisted into [create]
-   and every intermediate kept in preallocated unboxed storage, so [run]
-   allocates zero minor words per call (pinned by the telemetry gate; the
-   compiler here is classic ocamlopt, so any record, closure or boxed
-   cross-module float return in the loop would show up immediately).
-
-   The hoist that makes the recurrence loop pure float-array arithmetic:
-   [Cmp.link_locality] of an E link depends only on the source column and
-   of an S link only on the source row (the node rectangle tiles the
-   grid), so the four (r2b) communication terms collapse into per-column
-   and per-row tables probed once at build time. *)
-module Eval = struct
-  type out = {
-    mutable t_diagfill : float;
-    mutable t_fullfill : float;
-    mutable t_iteration : float;
-  }
-
-  type nonrec t = {
-    cols : int;
-    rows : int;
-    w : float;
-    w_pre : float;
-    (* (r2b) terms per link: E-link out of column i, S-link out of row j. *)
-    ew_total : float array;  (* .(i), i in 1..cols-1 *)
-    ew_send : float array;
-    ns_total : float array;  (* .(j), j in 1..rows-1 *)
-    ns_recv : float array;
-    start : float array;  (* the StartP scratch, reused every run *)
-    ndiag : float;
-    nfull : float;
-    stack_term : float;  (* nsweeps * t_stack, constant per config *)
-    t_nonwavefront : float;
-    out : out;
-    base : result;  (* constant result fields for [result] *)
-  }
-
-  let create (app : App_params.t) cfg =
-    let r = iteration app cfg in
-    let pg = cfg.pgrid in
-    let cols = pg.Proc_grid.cols and rows = pg.Proc_grid.rows in
-    let locality src dir = Cmp.link_locality cfg.cmp ~src dir in
-    let ew_total = Array.make (max 1 cols) 0.0 in
-    let ew_send = Array.make (max 1 cols) 0.0 in
-    for i = 1 to cols - 1 do
-      let loc = locality (i, 1) Cmp.E in
-      ew_total.(i) <- Comm.total cfg.platform loc r.msg_ew;
-      ew_send.(i) <- Comm.send cfg.platform loc r.msg_ew
-    done;
-    let ns_total = Array.make (max 1 rows) 0.0 in
-    let ns_recv = Array.make (max 1 rows) 0.0 in
-    for j = 1 to rows - 1 do
-      let loc = locality (1, j) Cmp.S in
-      ns_total.(j) <- Comm.total cfg.platform loc r.msg_ns;
-      ns_recv.(j) <- Comm.receive cfg.platform loc r.msg_ns
-    done;
-    let c = App_params.counts app in
-    {
-      cols;
-      rows;
-      w = r.w;
-      w_pre = r.w_pre;
-      ew_total;
-      ew_send;
-      ns_total;
-      ns_recv;
-      start = Array.make (cols * rows) 0.0;
-      ndiag = float_of_int c.ndiag;
-      nfull = float_of_int c.nfull;
-      stack_term = float_of_int c.nsweeps *. r.t_stack;
-      t_nonwavefront = r.t_nonwavefront;
-      out = { t_diagfill = 0.0; t_fullfill = 0.0; t_iteration = 0.0 };
-      base = r;
-    }
-
-  let run e =
-    let cols = e.cols and rows = e.rows in
-    let start = e.start in
-    let ewt = e.ew_total and ews = e.ew_send in
-    let nst = e.ns_total and nsr = e.ns_recv in
-    let w = e.w in
-    for j = 1 to rows do
-      let base = (j - 1) * cols in
-      for i = 1 to cols do
-        if i = 1 && j = 1 then start.(0) <- e.w_pre (* r2a *)
-        else begin
-          let fw =
-            if i = 1 then neg_infinity
-            else
-              start.(base + i - 2) +. w +. ewt.(i - 1)
-              +. (if j = 1 then 0.0 else nsr.(j - 1))
-          in
-          let fn =
-            if j = 1 then neg_infinity
-            else
-              start.(base - cols + i - 1)
-              +. w
-              +. (if i = cols then 0.0 else ews.(i))
-              +. nst.(j - 1)
-          in
-          (* plain compare, not [Float.max]: neither side is ever nan or
-             -0., and the call would box its float arguments *)
-          start.(base + i - 1) <- (if fw >= fn then fw else fn)
-        end
-      done
-    done;
-    let o = e.out in
-    o.t_diagfill <- start.((rows - 1) * cols);
-    o.t_fullfill <- start.((rows * cols) - 1);
-    o.t_iteration <-
-      (e.ndiag *. o.t_diagfill)
-      +. (e.nfull *. o.t_fullfill)
-      +. e.stack_term +. e.t_nonwavefront
-
-  let t_iteration e = e.out.t_iteration
-  let t_diagfill e = e.out.t_diagfill
-  let t_fullfill e = e.out.t_fullfill
-
-  let result e =
-    {
-      e.base with
-      t_diagfill = e.out.t_diagfill;
-      t_fullfill = e.out.t_fullfill;
-      t_iteration = e.out.t_iteration;
-    }
-end
 
 let pp_result ppf r =
   Fmt.pf ppf

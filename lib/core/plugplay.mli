@@ -5,7 +5,9 @@
     configuration, [iteration] evaluates equations (r1a)-(r5) — with the
     Table 6 multi-core locality and shared-bus contention extensions — and
     returns the per-iteration critical-path time and its pieces. All times
-    are in microseconds. *)
+    are in microseconds. The module holds one implementation of the
+    pipeline-fill recurrence, {!Eval}; [iteration] and everything built on
+    it go through it. *)
 
 open Wgrid
 
@@ -46,6 +48,7 @@ type result = {
 }
 
 val iteration : App_params.t -> config -> result
+(** {!Eval.create}, {!Eval.run}, {!Eval.result}. *)
 
 val time_per_iteration : App_params.t -> config -> float
 (** Just the (r5) total of {!iteration}. *)
@@ -78,15 +81,17 @@ val components : App_params.t -> config -> components
 val zero_comm_platform : Loggp.Params.t -> Loggp.Params.t
 val pp_result : result Fmt.t
 
-(** The allocation-free evaluator for the serving path: [create] hoists
-    every configuration-dependent term ((r1) work, the per-column /
-    per-row (r2b) communication tables, the constant (r4)/(r5) pieces)
-    and preallocates the StartP scratch; [run] then re-executes the full
-    pipeline-fill recurrence with zero minor-heap allocation per call
-    (the telemetry gate pins it at exactly 0 words). [run] agrees with
-    {!iteration} to the last bit; results are read through the
-    accessors after a [run]. Not synchronized: one evaluator per
-    domain. *)
+(** The evaluator behind {!iteration}, and the only implementation of
+    (r2a)/(r2b). [create] computes every closed-form term outright —
+    (r1) work, the message sizes, (r4), Tnonwavefront — and builds the
+    per-column and per-row (r2b) communication tables: O(cols + rows)
+    storage and locality probes, no recurrence. [run] executes the
+    pipeline-fill recurrence over a single StartP row of [cols] floats
+    updated in place, with zero minor-heap allocation per call (the
+    telemetry gate pins it at exactly 0 words); results are read
+    through the accessors after a [run]. The test suite holds it, bit
+    for bit, to a cell-by-cell transcription of the equations. Not
+    synchronized: one evaluator per domain. *)
 module Eval : sig
   type t
 

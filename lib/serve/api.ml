@@ -308,55 +308,45 @@ type point = {
   total : float;
 }
 
-let eval_point s ~htile ~cols ~rows ~k =
-  let app = App_params.with_htile s.base htile in
-  let cores = cols * rows in
-  let pg = Wgrid.Proc_grid.v ~cols ~rows in
-  let cfg =
-    Plugplay.config
-      ~cmp:(Wgrid.Cmp.of_cores_per_node s.s_cpn)
-      ~pgrid:pg s.s_platform ~cores
-  in
-  let r = Plugplay.iteration app cfg in
-  (* Per-iteration resilience overhead over one iteration's waves, the
-     same accounting as the resilience subcommand. *)
-  let waves =
-    Sweeps.Schedule.nsweeps app.App_params.schedule
-    * Wgrid.Tile.ntiles_int ~nz:app.App_params.grid.Wgrid.Data_grid.nz
-        ~htile:app.App_params.htile
-  in
-  let policy = Perturb.Recover.v ~ckpt_cost:s.ckpt_cost
-      ~restart_cost:s.restart_cost k
-  in
-  let term =
-    Perturb.Recover.expected_term policy ~waves
-      ~wave_cost:(r.Plugplay.w +. r.Plugplay.w_pre)
-      ~failures:s.failures
-  in
-  let overhead = term.Perturb.Recover.total in
-  {
-    htile;
-    cols;
-    rows;
-    k;
-    cores;
-    t_iter = r.Plugplay.t_iteration;
-    overhead;
-    total = r.Plugplay.t_iteration +. overhead;
-  }
-
+(* One (r1)-(r5) evaluation per (Htile, grid) pair, priced at every K:
+   the checkpoint interval moves only the resilience term. The
+   evaluation is forced by the pair's first point to pass the deadline
+   check, so an expired sweep evaluates nothing further. *)
 let run_sweep ?(check_every = 16) ~deadline s =
   if check_every < 1 then invalid_arg "Api.run_sweep: check_every must be >= 1";
+  let cmp = Wgrid.Cmp.of_cores_per_node s.s_cpn in
+  let policies =
+    List.map
+      (fun k ->
+        (k, Perturb.Recover.v ~ckpt_cost:s.ckpt_cost
+              ~restart_cost:s.restart_cost k))
+      s.ks
+  in
   let acc = ref [] in
   let evaluated = ref 0 in
   let expired = ref false in
   (try
      List.iter
        (fun htile ->
+         let app = App_params.with_htile s.base htile in
+         (* Per-iteration resilience overhead over one iteration's waves,
+            the same accounting as the resilience subcommand. *)
+         let waves =
+           Sweeps.Schedule.nsweeps app.App_params.schedule
+           * Wgrid.Tile.ntiles_int ~nz:app.App_params.grid.Wgrid.Data_grid.nz
+               ~htile:app.App_params.htile
+         in
          List.iter
            (fun (cols, rows) ->
+             let cores = cols * rows in
+             let r =
+               lazy
+                 (Plugplay.iteration app
+                    (Plugplay.config ~cmp ~pgrid:(Wgrid.Proc_grid.v ~cols ~rows)
+                       s.s_platform ~cores))
+             in
              List.iter
-               (fun k ->
+               (fun (k, policy) ->
                  if
                    !evaluated mod check_every = 0
                    && Deadline.expired ~now:(Unix.gettimeofday ()) deadline
@@ -364,9 +354,27 @@ let run_sweep ?(check_every = 16) ~deadline s =
                    expired := true;
                    raise Exit
                  end;
-                 acc := eval_point s ~htile ~cols ~rows ~k :: !acc;
+                 let r = Lazy.force r in
+                 let term =
+                   Perturb.Recover.expected_term policy ~waves
+                     ~wave_cost:(r.Plugplay.w +. r.Plugplay.w_pre)
+                     ~failures:s.failures
+                 in
+                 let overhead = term.Perturb.Recover.total in
+                 acc :=
+                   {
+                     htile;
+                     cols;
+                     rows;
+                     k;
+                     cores;
+                     t_iter = r.Plugplay.t_iteration;
+                     overhead;
+                     total = r.Plugplay.t_iteration +. overhead;
+                   }
+                   :: !acc;
                  incr evaluated)
-               s.ks)
+               policies)
            s.grids)
        s.htiles
    with Exit -> ());

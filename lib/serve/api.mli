@@ -103,7 +103,11 @@ val run_sweep :
     points (default 16) — the cooperative-cancellation checkpoint, so a
     sweep overruns its deadline by at most one checkpoint interval.
     [`Expired n] reports how many points were evaluated before giving
-    up (the server answers 504). *)
+    up (the server answers 504). Each (Htile, grid) pair is evaluated
+    once and every K is priced from that result, since the checkpoint
+    interval moves only the resilience term; each point's [total] is
+    bit-identical to a per-point {!Plugplay.iteration} plus
+    {!Perturb.Recover.expected_term}. *)
 
 val pareto : point list -> point list
 (** The (cores, total) Pareto frontier: cheapest total at each core

@@ -57,9 +57,11 @@ val write_response :
   int ->
   bool
 (** Write a complete response ([Connection: close],
-    [Content-Length] computed). Returns [false] when the peer is gone
-    ([EPIPE]/reset) — the caller records the outcome either way and never
-    raises. *)
+    [Content-Length] computed) as two writes, the head and then [body]
+    straight from the caller's string, never copied; the server sets
+    [TCP_NODELAY] on accepted sockets so the second write is not delayed.
+    Returns [false] when the peer is gone ([EPIPE]/reset) — the caller
+    records the outcome either way and never raises. *)
 
 val discard_close : Unix.file_descr -> unit
 (** Drain any request bytes that already arrived (never waiting for

@@ -2,7 +2,8 @@
    Bounded_queue of connections, [workers] worker domains popping it.
    The Obs.Metrics registry is not thread-safe, so one mutex guards
    every metric update and the scrape; everything per-request lives on
-   the worker's stack (one reusable response buffer per worker). *)
+   the worker's stack (one reusable predict-response buffer per
+   worker). *)
 
 type config = {
   host : string;
@@ -238,7 +239,11 @@ let handle_predict t ~worker ~deadline ~buf fd body =
           match validation with Api.Degraded _ -> Degraded | _ -> Ok_
       end
 
-let handle_sweep ~deadline ~buf fd body =
+(* A sweep renders into a buffer of its own, garbage once written: a
+   4096-point response is ~0.7 MB, and a worker buffer grown to hold it
+   would stay that size for the daemon's lifetime, every worker's copy
+   live to the GC. *)
+let handle_sweep ~deadline fd body =
   match Api.parse_sweep body with
   | Error msg ->
       respond_error fd 400 msg;
@@ -251,6 +256,7 @@ let handle_sweep ~deadline ~buf fd body =
                (Api.sweep_points s));
           Timeout
       | `Done points ->
+          let buf = Buffer.create 4096 in
           Api.render_sweep_into buf s points;
           if Http.write_response ~headers:json_headers
                ~body:(Buffer.contents buf) fd 200
@@ -288,7 +294,7 @@ let handle_request t ~worker ~buf conn req =
       then Ok_
       else Aborted
   | "POST", "/v1/predict" -> handle_predict t ~worker ~deadline ~buf fd req.body
-  | "POST", "/v1/sweep" -> handle_sweep ~deadline ~buf fd req.body
+  | "POST", "/v1/sweep" -> handle_sweep ~deadline fd req.body
   | _, ("/healthz" | "/readyz" | "/metrics" | "/v1/predict" | "/v1/sweep") ->
       respond_error fd 405 "method not allowed";
       Client_error
@@ -354,6 +360,10 @@ let accept_loop t =
           | exception Unix.Unix_error _ -> ()
           | fd, _ -> (
               let admitted_at = Unix.gettimeofday () in
+              (* Responses go out as head and body writes; Nagle would
+                 hold the second behind the first's ACK. *)
+              (try Unix.setsockopt fd Unix.TCP_NODELAY true
+               with Unix.Unix_error _ -> ());
               with_stats t.stats (fun () ->
                   Obs.Metrics.inc t.stats.requests);
               match Bounded_queue.try_push t.queue { fd; admitted_at } with

@@ -260,6 +260,84 @@ let test_pareto_frontier () =
                   pts))
            f)
 
+(* [run_sweep] evaluates each (Htile, grid) pair once and prices every
+   K from it. Each point must still equal an independent per-point
+   evaluation — the literal (r1)-(r5) transcription of [Plugplay_ref]
+   plus that K's resilience term — bit for bit, in Htile-major, grid, K
+   order. The small data grid on many cores keeps communication, and so
+   the (r2b) tables, dominant. *)
+let test_sweep_prices_every_k () =
+  let htiles = [ 1.0; 2.5; 7.0 ] in
+  let grids =
+    [ (1, 1); (1, 9); (12, 1); (2, 1); (2, 2); (3, 5); (8, 2); (6, 6);
+      (5, 11); (16, 12); (24, 24) ]
+  in
+  let ks = [ 0; 3; 8; 16 ] in
+  let ckpt_cost = 120.0 and restart_cost = 900.0 and failures = 2 in
+  let list f l = String.concat "," (List.map f l) in
+  let body =
+    Printf.sprintf
+      {|{"app":{"name":"lu","nx":48,"ny":48,"nz":48},"machine":{"platform":"sp2","cores_per_node":4},"htile":[%s],"grids":[%s],"k":[%s],"ckpt_cost":%g,"restart_cost":%g,"failures":%d}|}
+      (list string_of_float htiles)
+      (list (fun (c, r) -> Printf.sprintf "[%d,%d]" c r) grids)
+      (list string_of_int ks) ckpt_cost restart_cost failures
+  in
+  let s =
+    match Serve.Api.parse_sweep body with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let points =
+    match Serve.Api.run_sweep ~deadline:Serve.Deadline.none s with
+    | `Done pts -> pts
+    | `Expired _ -> Alcotest.fail "unbounded sweep expired"
+  in
+  let base = Apps.Lu.params (Wgrid.Data_grid.cube 48) in
+  let platform = Loggp.Params.with_cores_per_node Loggp.Params.sp2 4 in
+  let expected =
+    List.concat_map
+      (fun htile ->
+        let app = App_params.with_htile base htile in
+        let waves =
+          Sweeps.Schedule.nsweeps app.schedule
+          * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile
+        in
+        List.concat_map
+          (fun (cols, rows) ->
+            let cfg =
+              Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node 4)
+                ~pgrid:(Wgrid.Proc_grid.v ~cols ~rows)
+                platform ~cores:(cols * rows)
+            in
+            let r = Plugplay_ref.iteration app cfg in
+            List.map
+              (fun k ->
+                let term =
+                  Perturb.Recover.expected_term
+                    (Perturb.Recover.v ~ckpt_cost ~restart_cost k)
+                    ~waves ~wave_cost:(r.w +. r.w_pre) ~failures
+                in
+                (htile, cols, rows, k, r.t_iteration +. term.total))
+              ks)
+          grids)
+      htiles
+  in
+  Alcotest.(check int) "one point per (htile, grid, k)" (List.length expected)
+    (List.length points);
+  List.iter2
+    (fun (p : Serve.Api.point) (htile, cols, rows, k, total) ->
+      let at = Printf.sprintf "htile %g %dx%d k %d" htile cols rows k in
+      Alcotest.(check (list int)) (at ^ ": position")
+        [ cols; rows; k; cols * rows ]
+        [ p.cols; p.rows; p.k; p.cores ];
+      Alcotest.(check int64) (at ^ ": total bit-identical")
+        (Int64.bits_of_float total)
+        (Int64.bits_of_float p.total);
+      Alcotest.(check int64) (at ^ ": total = t_iteration + overhead")
+        (Int64.bits_of_float p.total)
+        (Int64.bits_of_float (p.t_iter +. p.overhead)))
+    points expected
+
 (* --- in-process HTTP integration -------------------------------------- *)
 
 let with_server ?(cfg = Serve.Server.default_config) f =
@@ -317,8 +395,8 @@ let body_of raw =
 
 let get ~port path = raw_request ~port (Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n" path)
 
-let post ~port ?(headers = "") path body =
-  raw_request ~port
+let post ~port ?(headers = "") ?timeout_s path body =
+  raw_request ?timeout_s ~port
     (Printf.sprintf "POST %s HTTP/1.1\r\nHost: t\r\n%sContent-Length: %d\r\n\r\n%s"
        path headers (String.length body) body)
 
@@ -490,6 +568,74 @@ let test_drain_answers_backlog () =
      covered again, adversarially, by the slam suite below. *)
   ()
 
+(* Split a raw reply into its status line, lowercased header pairs and
+   body, at the first CRLFCRLF. *)
+let split_response raw =
+  let body = body_of raw in
+  let head = String.sub raw 0 (String.length raw - String.length body) in
+  match String.split_on_char '\n' (String.trim head) with
+  | [] -> Alcotest.fail "empty reply"
+  | status :: lines ->
+      let headers =
+        List.filter_map
+          (fun l ->
+            match String.index_opt l ':' with
+            | None -> None
+            | Some i ->
+                Some
+                  ( String.lowercase_ascii (String.sub l 0 i),
+                    String.trim (String.sub l (i + 1) (String.length l - i - 1))
+                  ))
+          lines
+      in
+      (String.trim status, headers, body)
+
+let check_content_length name headers body =
+  Alcotest.(check (option string)) (name ^ ": Content-Length")
+    (Some (string_of_int (String.length body)))
+    (List.assoc_opt "content-length" headers)
+
+(* Head and body go out as two writes: the reply must still be one
+   well-formed response whose Content-Length covers exactly the bytes
+   after the head, and the body must be the in-process answer. *)
+let test_predict_one_response () =
+  with_server @@ fun port ->
+  let req = predict_body ~cores:4096 ~validate:false in
+  let status, headers, body = split_response (post ~port "/v1/predict" req) in
+  Alcotest.(check string) "status line" "HTTP/1.1 200 OK" status;
+  check_content_length "predict" headers body;
+  let expected = Buffer.create 1024 in
+  (match Serve.Api.predict_into expected req with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check string) "body = Api.predict_into" (Buffer.contents expected)
+    body
+
+(* A 4080-point sweep answers with ~0.7 MB, more than a loopback socket
+   buffer holds, so the body leaves in many partial writes; it must
+   arrive complete and byte-identical to the in-process render. *)
+let test_large_sweep_arrives_whole () =
+  with_server @@ fun port ->
+  let req = sweep_req ~points:4080 in
+  let status, headers, body =
+    split_response (post ~port ~timeout_s:30.0 "/v1/sweep" req)
+  in
+  Alcotest.(check string) "status line" "HTTP/1.1 200 OK" status;
+  check_content_length "sweep" headers body;
+  let s =
+    match Serve.Api.parse_sweep req with Ok s -> s | Error m -> Alcotest.fail m
+  in
+  let expected = Buffer.create (1 lsl 20) in
+  (match Serve.Api.run_sweep ~deadline:Serve.Deadline.none s with
+  | `Done pts -> Serve.Api.render_sweep_into expected s pts
+  | `Expired _ -> Alcotest.fail "unbounded sweep expired");
+  Alcotest.(check bool)
+    (Printf.sprintf "body of %d bytes exceeds 512 KiB" (String.length body))
+    true
+    (String.length body > 512 * 1024);
+  Alcotest.(check bool) "body = Api.render_sweep_into, byte for byte" true
+    (String.equal (Buffer.contents expected) body)
+
 (* --- slam: seeded plan and mini-run ----------------------------------- *)
 
 let test_slam_plan_deterministic () =
@@ -632,6 +778,8 @@ let suite =
         Alcotest.test_case "sweep checkpoints bound the overrun" `Quick
           test_sweep_deadline_checkpoints;
         Alcotest.test_case "pareto frontier" `Quick test_pareto_frontier;
+        Alcotest.test_case "sweep prices every K from one evaluation" `Quick
+          test_sweep_prices_every_k;
       ] );
     ( "serve.http",
       [
@@ -646,6 +794,10 @@ let suite =
           test_breaker_degrades_and_recovers;
         Alcotest.test_case "drain answers the backlog" `Quick
           test_drain_answers_backlog;
+        Alcotest.test_case "predict reply is one well-formed response" `Quick
+          test_predict_one_response;
+        Alcotest.test_case "4080-point sweep arrives whole" `Quick
+          test_large_sweep_arrives_whole;
       ] );
     ( "serve.slam",
       [

@@ -2,8 +2,9 @@
    harness (a truly allocation-free closure measures exactly 0.0, which
    is what lets these tests pin with [=] rather than a tolerance), the
    zero-allocation contract of the closed-form evaluator and the batched
-   engine's steady-state step, the Eval/iteration bit-identity, and the
-   run ledger's JSONL round trip and cross-run comparison. *)
+   engine's steady-state step, the evaluator's bit-identity with a
+   literal transcription of (r1a)-(r5), and the run ledger's JSONL round
+   trip and cross-run comparison. *)
 
 open Wavefront_core
 
@@ -45,32 +46,115 @@ let cfg_of ~cores ~cpn =
   let platform = Loggp.Params.with_cores_per_node Loggp.Params.xt4 cpn in
   Plugplay.config ~cmp:(Wgrid.Cmp.of_cores_per_node cpn) platform ~cores
 
-(* [Eval.run] re-executes the full pipeline-fill recurrence; it must
-   agree with the allocating [iteration] to the last bit on every
-   field, not approximately. *)
-let test_eval_matches_iteration () =
+(* A random model configuration: a preset or synthetic application on a
+   random data grid; processor grids from 1x1 through 1xn and nx1 strips
+   to 40x40; every node rectangle [Cmp.of_cores_per_node] builds for the
+   core counts below; the four platforms; bus and sync terms on and
+   off. *)
+let gen_model_config =
+  let open QCheck.Gen in
+  let* nx = int_range 1 300 and* ny = int_range 1 300 and* nz = int_range 1 300 in
+  let grid = Wgrid.Data_grid.v ~nx ~ny ~nz in
+  let preset =
+    let* params =
+      oneofl
+        [
+          (fun g -> Apps.Sweep3d.params g);
+          (fun g -> Apps.Lu.params g);
+          (fun g -> Apps.Chimaera.params g);
+        ]
+    and* htile = float_range 0.25 12.0 in
+    return (App_params.with_htile (params grid) htile)
+  in
+  let synthetic =
+    let* wg = float_range 0.001 5.0
+    and* wg_pre = oneof [ return 0.0; float_range 0.0 2.0 ]
+    and* htile = float_range 0.25 12.0
+    and* ew = float_range 1.0 64.0
+    and* ns = float_range 1.0 64.0
+    and* schedule =
+      oneof
+        [
+          oneofl Sweeps.Schedule.[ lu; sweep3d; chimaera ];
+          (let* nsweeps = int_range 1 8 in
+           let* nfull = int_range 1 nsweeps in
+           let* ndiag = int_range 0 (nsweeps - nfull) in
+           return (Sweeps.Schedule.make ~nsweeps ~nfull ~ndiag));
+        ]
+    and* nonwavefront =
+      oneof
+        [
+          return App_params.No_op;
+          map (fun t -> App_params.Fixed t) (float_range 0.0 1000.0);
+          map2
+            (fun count msg_size -> App_params.Allreduce { count; msg_size })
+            (int_range 1 3) (int_range 8 4096);
+          map2
+            (fun wg_stencil halo_bytes_per_cell ->
+              App_params.Stencil { wg_stencil; halo_bytes_per_cell })
+            (float_range 0.01 1.0) (float_range 1.0 64.0);
+        ]
+    in
+    return
+      (App_params.v ~wg_pre ~nonwavefront ~name:"synthetic" ~grid ~wg ~htile
+         ~schedule ~bytes_per_cell_ew:ew ~bytes_per_cell_ns:ns ())
+  in
+  let side = oneof [ return 1; int_range 1 6; int_range 1 40 ] in
+  let* app = oneof [ preset; synthetic ]
+  and* cols = side
+  and* rows = side
+  and* cpn = oneofl [ 1; 2; 3; 4; 6; 8; 16 ]
+  and* platform = oneofl Loggp.Params.presets
+  and* contention = bool
+  and* sync_terms = bool in
+  let cfg =
+    Plugplay.config
+      ~cmp:(Wgrid.Cmp.of_cores_per_node cpn)
+      ~pgrid:(Wgrid.Proc_grid.v ~cols ~rows)
+      ~contention ~sync_terms
+      (Loggp.Params.with_cores_per_node platform cpn)
+      ~cores:(cols * rows)
+  in
+  return (app, cfg)
+
+let print_model_config ((app : App_params.t), (cfg : Plugplay.config)) =
+  Fmt.str "%s %a htile=%g on %a, %a, %s, contention=%b sync=%b" app.name
+    Wgrid.Data_grid.pp app.grid app.htile Wgrid.Proc_grid.pp cfg.pgrid
+    Wgrid.Cmp.pp cfg.cmp cfg.platform.Loggp.Params.name cfg.contention
+    cfg.sync_terms
+
+(* [Plugplay.iteration] (which is [Eval]) equals the cell-by-cell
+   transcription of the equations in [Plugplay_ref] to the last bit:
+   same additions in the same order, so not one ulp of drift. *)
+let prop_iteration_matches_reference =
+  QCheck.Test.make ~name:"iteration = literal (r1)-(r5) reference, bit for bit"
+    ~count:2000
+    (QCheck.make ~print:print_model_config gen_model_config)
+    (fun (app, cfg) ->
+      let r = Plugplay.iteration app cfg in
+      let ref_ = Plugplay_ref.iteration app cfg in
+      let same name a b =
+        Int64.bits_of_float a = Int64.bits_of_float b
+        || QCheck.Test.fail_reportf "%s: Eval %h, reference %h" name a b
+      in
+      same "t_diagfill" r.t_diagfill ref_.t_diagfill
+      && same "t_fullfill" r.t_fullfill ref_.t_fullfill
+      && same "t_stack" r.t_stack ref_.t_stack
+      && same "t_iteration" r.t_iteration ref_.t_iteration)
+
+(* The accessors read the same run [result] reports. *)
+let test_eval_accessors () =
   List.iter
     (fun (name, app, cores, cpn) ->
-      let cfg = cfg_of ~cores ~cpn in
-      let reference = Plugplay.iteration app cfg in
-      let e = Plugplay.Eval.create app cfg in
+      let e = Plugplay.Eval.create app (cfg_of ~cores ~cpn) in
       Plugplay.Eval.run e;
-      Alcotest.(check (float 0.0))
-        (name ^ ": t_iteration bit-identical")
-        reference.t_iteration
-        (Plugplay.Eval.t_iteration e);
-      Alcotest.(check (float 0.0))
-        (name ^ ": t_diagfill bit-identical")
-        reference.t_diagfill
-        (Plugplay.Eval.t_diagfill e);
-      Alcotest.(check (float 0.0))
-        (name ^ ": t_fullfill bit-identical")
-        reference.t_fullfill
-        (Plugplay.Eval.t_fullfill e);
       let r = Plugplay.Eval.result e in
-      Alcotest.(check (float 0.0))
-        (name ^ ": full result t_stack")
-        reference.t_stack r.t_stack)
+      Alcotest.(check (float 0.0)) (name ^ ": t_iteration") r.t_iteration
+        (Plugplay.Eval.t_iteration e);
+      Alcotest.(check (float 0.0)) (name ^ ": t_diagfill") r.t_diagfill
+        (Plugplay.Eval.t_diagfill e);
+      Alcotest.(check (float 0.0)) (name ^ ": t_fullfill") r.t_fullfill
+        (Plugplay.Eval.t_fullfill e))
     eval_cases
 
 (* Repeated runs of one evaluator stay stable (the scratch really is
@@ -289,8 +373,9 @@ let suite =
       ] );
     ( "telemetry.eval",
       [
-        Alcotest.test_case "Eval = iteration, bit for bit" `Quick
-          test_eval_matches_iteration;
+        QCheck_alcotest.to_alcotest prop_iteration_matches_reference;
+        Alcotest.test_case "accessors agree with result" `Quick
+          test_eval_accessors;
         Alcotest.test_case "rerun stability" `Quick test_eval_rerun_stable;
         Alcotest.test_case "zero-alloc contract" `Quick test_eval_zero_alloc;
       ] );
