@@ -101,6 +101,41 @@ let engine_arg =
   Arg.(value & opt (enum Harness.Engine.all) Harness.Engine.Event
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
+(* --capacity, shared by every subcommand that traces; a capacity below 1
+   is a usage error (exit 2). *)
+let capacity_arg =
+  let check = function
+    | Some c when c < 1 ->
+        Fmt.epr "wavefront: --capacity must be at least 1@.";
+        exit 2
+    | c -> c
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some int) None
+           & info [ "capacity" ] ~docv:"N"
+               ~doc:"Per-tracer span capacity (drops are reported)."))
+
+(* The perturbation a subcommand runs: --perturb on the command line, then
+   the spec file's perturb stanza, then the zero spec (a do-nothing control
+   run). A bad --perturb is a usage error (exit 2). *)
+let resolve_perturb spec pspec =
+  match pspec with
+  | Some s -> (
+      match Perturb.Spec.of_string s with
+      | Ok p -> p
+      | Error (`Msg m) ->
+          Fmt.epr "wavefront: --perturb: %s@." m;
+          exit 2)
+  | None -> (
+      match spec with
+      | None -> Perturb.Spec.zero
+      | Some path -> (
+          match Apps.Spec.full_of_file path with
+          | Ok { perturb = Some p; _ } -> p
+          | Ok { perturb = None; _ } -> Perturb.Spec.zero
+          | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
+
 let no_bus_arg =
   Arg.(value & flag
        & info [ "no-bus" ]
@@ -596,11 +631,6 @@ let report_cmd =
 
 let profile spec app_name grid cores cpn htile wg iterations platform real
     capacity trace_out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
   let cfg = make_cfg platform ~cores ~cpn in
   Fmt.pr "profiling %s on %d cores (%d/node, %s)...@." app.App_params.name
@@ -644,11 +674,6 @@ let profile_cmd =
                "Also execute the transport kernel on one OCaml domain per \
                 rank (use small core counts).")
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
   let trace_out =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
@@ -657,37 +682,14 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const profile $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ real
-          $ capacity $ trace_out $ Obs_ctx.term)
+          $ capacity_arg $ trace_out $ Obs_ctx.term)
 
 (* --- perturb --- *)
 
 let perturb spec app_name grid cores cpn htile wg iterations platform engine
     no_bus pspec real capacity ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  (* Precedence: --perturb on the command line, then the spec file's
-     perturb stanza, then the zero spec (a do-nothing control run). *)
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
+  let pspec = resolve_perturb spec pspec in
   let cfg = make_cfg platform ~cores ~cpn in
   Fmt.pr "perturbing %s on %d cores (%d/node, %s) with [%a]...@."
     app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
@@ -739,26 +741,16 @@ let perturb_cmd =
                 perturbed (resilient), on one OCaml domain per rank (use \
                 small core counts).")
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
   Cmd.v (Cmd.info "perturb" ~doc)
     Term.(const perturb $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ no_bus_arg $ pspec $ real $ capacity $ Obs_ctx.term)
+          $ no_bus_arg $ pspec $ real $ capacity_arg $ Obs_ctx.term)
 
 (* --- recover --- *)
 
 let recover spec app_name grid cores cpn htile wg iterations platform engine
     no_bus pspec interval ckpt_cost restart_cost tolerance real
     fail_on_mismatch capacity out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
   (match interval with
   | Some k when k < 0 ->
       Fmt.epr "wavefront: --interval must be >= 0@.";
@@ -769,23 +761,7 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     exit 2
   end;
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
+  let pspec = resolve_perturb spec pspec in
   let cfg = make_cfg platform ~cores ~cpn in
   (* --interval omitted: take the Daly-style optimum for this run. *)
   let interval =
@@ -902,11 +878,6 @@ let recover_cmd =
                 beyond --tolerance (or a recovered real run's grid differs \
                 from the reference).")
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
@@ -915,18 +886,13 @@ let recover_cmd =
     Term.(const recover $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
           $ no_bus_arg $ pspec $ interval $ ckpt_cost $ restart_cost
-          $ tolerance $ real $ fail_on_mismatch $ capacity $ out
+          $ tolerance $ real $ fail_on_mismatch $ capacity_arg $ out
           $ Obs_ctx.term)
 
 (* --- timeline --- *)
 
 let timeline spec app_name grid cores cpn htile wg iterations platform engine
     real no_bus metric capacity json_out csv_out ctx =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
   let metric =
     match Obs.Timeline.metric_of_string metric with
     | Some m -> m
@@ -1003,11 +969,6 @@ let timeline_cmd =
                "Heatmap metric: compute, send, recv, wait, idle, busy or \
                 total.")
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
   let json_out =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -1021,7 +982,7 @@ let timeline_cmd =
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(const timeline $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ real $ no_bus $ metric $ capacity $ json_out $ csv_out
+          $ real $ no_bus $ metric $ capacity_arg $ json_out $ csv_out
           $ Obs_ctx.term)
 
 (* --- idlewave --- *)
@@ -1029,29 +990,8 @@ let timeline_cmd =
 let idlewave spec app_name grid cores cpn htile wg iterations platform engine
     pgrid pspec real no_bus fail_on_mismatch capacity out json_out csv_out ctx
     =
-  (match capacity with
-  | Some c when c < 1 ->
-      Fmt.epr "wavefront: --capacity must be at least 1@.";
-      exit 2
-  | _ -> ());
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec =
-    match pspec with
-    | Some s -> (
-        match Perturb.Spec.of_string s with
-        | Ok p -> p
-        | Error (`Msg m) ->
-            Fmt.epr "wavefront: --perturb: %s@." m;
-            exit 2)
-    | None -> (
-        match spec with
-        | None -> Perturb.Spec.zero
-        | Some path -> (
-            match Apps.Spec.full_of_file path with
-            | Ok { perturb = Some p; _ } -> p
-            | Ok { perturb = None; _ } -> Perturb.Spec.zero
-            | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
-  in
+  let pspec = resolve_perturb spec pspec in
   (* --pgrid overrides the near-square factorization of -p: idle-wave
      studies are pipeline studies, and a COLSx1 chain is where the
      analytic model is exact. *)
@@ -1167,11 +1107,6 @@ let idlewave_cmd =
                "Exit 3 when the sim/batched timelines diverge or the \
                 fitted hop latency misses the analytic one beyond 5%.")
   in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity" ] ~docv:"N"
-             ~doc:"Per-tracer span capacity (drops are reported).")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
@@ -1189,8 +1124,8 @@ let idlewave_cmd =
   Cmd.v (Cmd.info "idlewave" ~doc)
     Term.(const idlewave $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ pgrid $ pspec $ real $ no_bus $ fail_on_mismatch $ capacity $ out
-          $ json_out $ csv_out $ Obs_ctx.term)
+          $ pgrid $ pspec $ real $ no_bus $ fail_on_mismatch $ capacity_arg
+          $ out $ json_out $ csv_out $ Obs_ctx.term)
 
 (* --- bench --- *)
 

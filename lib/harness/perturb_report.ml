@@ -150,13 +150,16 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
       ]
   in
   let injection =
-    let n_noise, t_noise = span_total spans "perturb.noise" in
-    let n_strag, t_strag = span_total spans "perturb.straggler" in
-    let n_link, t_link = span_total spans "perturb.link" in
+    let n_noise, t_noise = span_total spans (Perturb.Model.span_name Noise) in
+    let n_strag, t_strag =
+      span_total spans (Perturb.Model.span_name Straggler)
+    in
+    let n_link, t_link = span_total spans (Perturb.Model.span_name Link) in
     let injected = t_noise +. t_strag +. t_link in
     let propagated = sim.elapsed -. sim_base.elapsed in
-    let source name n t model =
-      [ name; Table.icell n; Table.fcell t; Table.fcell model ]
+    let source kind n t model =
+      [ Perturb.Model.span_name kind; Table.icell n; Table.fcell t;
+        Table.fcell model ]
     in
     Table.v ~id:"PERTURB-INJECTION"
       ~title:"Injected delay: absorbed in pipeline slack vs propagated"
@@ -166,9 +169,9 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
            perturbation cost more than the injected time (lost overlap)" ]
       ~headers:[ "source"; "spans"; "injected (us)"; "model (us)" ]
       [
-        source "perturb.noise" n_noise t_noise estimate.noise;
-        source "perturb.straggler" n_strag t_strag estimate.straggler;
-        source "perturb.link" n_link t_link estimate.link;
+        source Noise n_noise t_noise estimate.noise;
+        source Straggler n_strag t_strag estimate.straggler;
+        source Link n_link t_link estimate.link;
         [ "injected total"; dash; Table.fcell injected;
           Table.fcell (estimate.total -. estimate.base) ];
         [ "elapsed growth (propagated)"; dash; Table.fcell propagated; dash ];

@@ -135,9 +135,10 @@ let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
   in
   let spans = Obs.Tracer.spans obs in
   let simulated =
-    let checkpoint = max_rank_spans spans "recover.checkpoint" in
-    let restart = sum_spans spans "recover.restart" in
-    let rework = sum_spans spans "recover.replay" in
+    let name = Perturb.Model.span_name in
+    let checkpoint = max_rank_spans spans (name Checkpoint) in
+    let restart = sum_spans spans (name Restart) in
+    let rework = sum_spans spans (name Replay) in
     { Perturb.Recover.checkpoint; restart; rework;
       total = checkpoint +. restart +. rework }
   in

@@ -82,15 +82,14 @@ module Backend = struct
   (* This rank's view of the recovery protocol. [version] numbers its
      snapshots; [pending] is a restored tile-to-tile sweep mark the next
      [sweep_begin] must re-apply (the resumed sweep's carried z-face);
-     [wave]/[last_wave] track the current and last-checkpointed global
-     wave, so the retry loop can report the rollback depth. *)
+     [wave] tracks the current global wave, so the retry loop can report
+     the rollback depth. *)
   type recovering = {
     policy : Perturb.Recover.policy;
     store : Wrun.Checkpoint.store;
     mutable version : int;
     mutable pending : Transport.sweep_mark option;
     mutable wave : int;
-    mutable last_wave : int;
   }
 
   type t = {
@@ -144,7 +143,6 @@ module Backend = struct
               version = 0;
               pending = None;
               wave = 0;
-              last_wave = 0;
             })
           recover;
       ntiles = (plan.grid.nz + plan.htile - 1) / plan.htile;
@@ -156,13 +154,13 @@ module Backend = struct
   (* Spend an injected delay for real — a perturbed rank is genuinely
      occupied, like [fixed_work] — and tag it so critical-path reports can
      tell absorbed delay from propagated. *)
-  let inject t ~rank ~name us =
-    if us > 0.0 then
-      match t.tracer with
-      | None -> busy_wait us
-      | Some tr ->
-          Obs.Tracer.span tr ~cat:"perturb" ~rank name (fun () ->
-              busy_wait us)
+  let spend t ~rank kind us =
+    match t.tracer with
+    | None -> busy_wait us
+    | Some tr ->
+        Obs.Tracer.span tr ~cat:"perturb" ~rank
+          (Perturb.Model.span_name kind)
+          (fun () -> busy_wait us)
 
   module Substrate = struct
     type nonrec t = t
@@ -182,9 +180,7 @@ module Backend = struct
     let send t ~rank ~dst ~axis:_ ~tile:_ face =
       (match t.model with
       | None -> ()
-      | Some m ->
-          inject t ~rank ~name:"perturb.link"
-            (Perturb.Model.link_extra m ~src:rank));
+      | Some m -> Perturb.Model.before_send m ~rank (spend t ~rank));
       Shmpi.Comm.send t.comm ~src:rank ~dst face
 
     let sweep_begin t ~rank:_ ~sweep ~dir =
@@ -222,7 +218,6 @@ module Backend = struct
               in
               let m = Shmpi.Supervisor.marks t.comm ~rank in
               rc.version <- rc.version + 1;
-              rc.last_wave <- wave;
               Wrun.Checkpoint.save rc.store
                 {
                   rank;
@@ -242,7 +237,9 @@ module Backend = struct
             | Some tr ->
                 Obs.Tracer.span tr ~cat:"recover"
                   ~args:[ (Obs.Timeline.wave_arg, Obs.Span.Int wave) ]
-                  ~rank "recover.checkpoint" save
+                  ~rank
+                  (Perturb.Model.span_name Checkpoint)
+                  save
           end
 
     let precompute _ ~rank:_ ~tile:_ = ()
@@ -263,29 +260,22 @@ module Backend = struct
             (fun () -> Transport.sweep_tile st ~h ~xface:x ~yface:y)
 
     let compute t ~rank ~dir:_ ~tile ~h ~x ~y =
-      (match t.model with
-      | Some m when Perturb.Model.fails_now m ~rank ->
-          raise (Perturb.Model.Killed { rank; tile })
-      | _ -> ());
       let faces =
         match (t.st, t.model) with
         | None, _ -> assert false (* sweep_begin precedes every tile *)
         | Some st, None -> tile_kernel t ~rank ~tile st ~h ~x ~y
         | Some st, Some m ->
-            (* Noise scales with the tile's measured duration — the real
-               analogue of the simulator scaling the model's tile work.
-               The draws line up one per tile either way. *)
+            (* The model has no recovery policy here: a kill raises
+               [Killed] for the supervisor to roll back. Noise scales with
+               the tile's measured duration — the real analogue of the
+               simulator scaling the model's tile work. The draws line up
+               one per tile either way. *)
+            Perturb.Model.before_compute m ~rank ~tile ~wave_cost:0.0
+              (spend t ~rank);
             let t0 = Unix.gettimeofday () in
             let faces = tile_kernel t ~rank ~tile st ~h ~x ~y in
             let dt = (Unix.gettimeofday () -. t0) *. 1e6 in
-            inject t ~rank ~name:"perturb.noise"
-              (Perturb.Model.noise_extra m ~rank ~work:dt);
-            inject t ~rank ~name:"perturb.straggler"
-              (Perturb.Model.straggler_delay m ~rank);
-            inject t ~rank ~name:"perturb.pulse"
-              (Perturb.Model.pulse_extra m ~rank);
-            inject t ~rank ~name:"perturb.periodic"
-              (Perturb.Model.periodic_extra m ~rank);
+            Perturb.Model.after_compute m ~rank ~work:dt (spend t ~rank);
             faces
       in
       (match t.progress with
@@ -320,13 +310,10 @@ module Backend = struct
        model's input, not this substrate's. *)
     let allreduce t ~rank ~count ~msg_size:_ =
       (* Collective noise: a real stall before the rank enters the
-         reduction — one draw per allreduce substrate call, as the
-         simulator and the batched engine consume it. *)
+         reduction. *)
       (match t.model with
       | None -> ()
-      | Some m ->
-          inject t ~rank ~name:"perturb.collnoise"
-            (Perturb.Model.coll_extra m ~rank));
+      | Some m -> Perturb.Model.before_allreduce m ~rank (spend t ~rank));
       for _ = 1 to count do
         ignore
           (Shmpi.Comm.allreduce t.comm ~rank ~op:( +. )
@@ -352,8 +339,7 @@ type outcome = {
   wall_time : float;  (** us *)
 }
 
-let model_of plan ~ranks =
-  Option.map (Perturb.Model.create ~ranks) plan.perturb
+let model_of plan ~ranks = Perturb.Model.create ?perturb:plan.perturb ~ranks ()
 
 let run ?obs ?timeout_us plan =
   let ranks = Proc_grid.cores plan.pg in
@@ -472,7 +458,8 @@ let recoverable_rank_program ?model ?obs ?progress ~policy ~store ~restarts
             match tracer with
             | None -> restore ()
             | Some tr ->
-                Obs.Tracer.span tr ~cat:"recover" ~rank "recover.restart"
+                Obs.Tracer.span tr ~cat:"recover" ~rank
+                  (Perturb.Model.span_name Restart)
                   restore
           in
           attempt from

@@ -1,62 +1,88 @@
-(** A {!Spec.t} instantiated for a run of a known rank count: per-rank draw
-    streams, straggler delays and failure counters.
+(** The perturbation and recovery protocol: a {!Spec.t} and a
+    {!Recover.policy} instantiated for a run of a known rank count.
 
-    Draw alignment is the load-bearing contract: every substrate consumes
-    one {!noise_extra} draw per tile compute and one {!link_extra} draw per
-    wavefront send, in program order, so the same spec injects the same
-    delays into the simulator, the batched engine and the real runtime.
-    Each rank only touches its own streams, so a single model is safe to
-    share across one-domain-per-rank runtimes. *)
+    This module holds the alignment contract that lets one seeded spec
+    inject the same delays into every substrate. Substrates call the five
+    step functions at fixed points of the Figure-4 program — {!tile_begin}
+    at every tile step, {!before_compute} and {!after_compute} around every
+    tile compute, {!before_send} before every wavefront send and
+    {!before_allreduce} before every allreduce call — and the model makes
+    every draw, kill and recovery charge there, in program order. The
+    substrate supplies only the [spend kind d] callback: how a delay of
+    [d] us is spent and attributed. It is never called with [d <= 0].
+    Each rank only touches its own streams and counters, so a single
+    model is safe to share across one-domain-per-rank runtimes. *)
 
 exception Killed of { rank : int; tile : int }
-(** Raised by a substrate when {!fails_now} says the rank dies; carries the
-    rank context every failure report preserves. *)
+(** Raised by {!before_compute} when the spec kills a rank and no
+    recovery policy revives it; carries the rank context every failure
+    report preserves. *)
+
+(** What an injected delay is: the compute-side clauses ([Noise],
+    [Straggler], [Pulse], [Periodic]), the communication stalls ([Link],
+    [Collnoise]) and the recovery protocol's charges ([Checkpoint],
+    [Restart], [Replay]). *)
+type kind =
+  | Noise
+  | Straggler
+  | Pulse
+  | Periodic
+  | Link
+  | Collnoise
+  | Checkpoint
+  | Restart
+  | Replay
+
+val span_name : kind -> string
+(** The one span vocabulary for substrates and reports:
+    ["perturb.noise"] ... ["perturb.collnoise"], ["recover.checkpoint"],
+    ["recover.restart"], ["recover.replay"]. *)
 
 type t
 
-val create : Spec.t -> ranks:int -> t
-(** Raises [Invalid_argument] when the spec names a rank outside
-    [0 .. ranks-1]. *)
+val create :
+  ?perturb:Spec.t -> ?recover:Recover.policy -> ranks:int -> unit -> t option
+(** [None] when there is nothing to inject: no spec and no enabled
+    recovery policy. Raises [Invalid_argument] when the spec names a rank
+    outside [0 .. ranks-1]. Without an enabled policy a kill raises
+    {!Killed}; with one the rank is revived in place. *)
 
-val spec : t -> Spec.t
-val ranks : t -> int
+val tile_begin : t -> rank:int -> wave:int -> (kind -> float -> unit) -> unit
+(** At the start of every tile step, global wave [wave]: on a checkpoint
+    wave ({!Recover.due}) count the snapshot and spend its cost. *)
 
-val noise_extra : t -> rank:int -> work:float -> float
-(** Extra compute time (us) for one tile of unperturbed duration [work] us.
-    Consumes one draw iff the spec has a noise clause with non-zero
-    amplitude. *)
+val before_compute :
+  t -> rank:int -> tile:int -> wave_cost:float -> (kind -> float -> unit) ->
+  unit
+(** At the start of every tile compute: advance the rank's tile counter
+    and, when the spec kills the rank at this tile, either raise {!Killed}
+    or, under a recovery policy, revive it and spend the restart cost and
+    the replay of {!Recover.lost_waves} waves at [wave_cost] us each. *)
 
-val straggler_delay : t -> rank:int -> float
-(** Constant extra us this rank loses per tile (0 for non-stragglers). *)
+val after_compute :
+  t -> rank:int -> work:float -> (kind -> float -> unit) -> unit
+(** After the tile's own work of [work] us: the noise (one draw iff the
+    spec has a non-zero noise clause, scaled by [work]), straggler, pulse
+    and periodic delays, in that order. *)
 
-val link_extra : t -> src:int -> float
-(** Injection delay (us) for one message sent by [src]; consumes one draw
-    iff the spec has a non-zero link clause. *)
+val before_send : t -> rank:int -> (kind -> float -> unit) -> unit
+(** Before every wavefront send by [rank]: one link draw iff the spec has
+    a non-zero link clause. *)
 
-val fails_now : t -> rank:int -> bool
-(** Advance the rank's tile counter; true when the spec kills the rank at
-    this tile. Call exactly once at the start of every tile compute. *)
-
-val pulse_extra : t -> rank:int -> float
-(** One-shot stall (us) the spec injects into the rank's current wave — the
-    idle-wave source. The current wave is read from the tile counter, so
-    call this after {!fails_now} within the same tile step. Draw-free. *)
-
-val periodic_extra : t -> rank:int -> float
-(** Stall (us) of the periodic scenario at the rank's current wave (every
-    [period]-th wave on every rank). Same calling contract as
-    {!pulse_extra}; draw-free. *)
-
-val coll_extra : t -> rank:int -> float
-(** Extra stall (us) before one allreduce operation on [rank]; consumes one
-    draw from the rank's collective stream per allreduce substrate call iff
-    the spec has a non-zero [collnoise] clause. *)
+val before_allreduce : t -> rank:int -> (kind -> float -> unit) -> unit
+(** Before every allreduce call on [rank]: one collective draw iff the
+    spec has a non-zero [collnoise] clause. *)
 
 val revive : t -> rank:int -> unit
-(** Lift the rank's death sentence after a recovery respawn: failures
-    are fail-stop with replacement, so a revived rank never dies again.
-    Draw streams and the tile counter are untouched. *)
+(** Lift the rank's death sentence after a respawn by a supervisor
+    outside the model: failures are fail-stop with replacement, so a
+    revived rank never dies again. Draw streams and the tile counter are
+    untouched. *)
 
-val tiles_started : t -> rank:int -> int
-val fails : t -> rank:int -> bool
 val is_straggler : t -> rank:int -> bool
+
+val recovered : t -> int list
+(** Ranks revived in place by the recovery policy, ascending. *)
+
+val checkpoints : t -> int
+(** Checkpoints counted by {!tile_begin} across all ranks. *)

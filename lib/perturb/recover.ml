@@ -20,10 +20,10 @@
    overhead [waves/K * C] gives the Daly-style optimum
    [K* = sqrt (2 * waves * C / (f * T_wave))].
 
-   All three substrates and the model must agree on this arithmetic:
+   Every substrate and the model must agree on this arithmetic:
    [due]/[checkpoints]/[lost_waves] here are the single source of truth
-   that [Wrun.Checkpoint] and the simulators' event-time charging
-   delegate to. *)
+   for [Perturb.Model]'s protocol and the real runtime's snapshot
+   schedule. *)
 
 type policy = {
   interval : int;  (* K: waves between checkpoints; 0 disables recovery *)

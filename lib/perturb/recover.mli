@@ -6,9 +6,9 @@
     ([restart_cost]). The closed-form {!term} predicts the overhead a
     recovered run adds over a clean one; {!optimal_interval} is the
     Daly-style balance point. The arithmetic here ([due],
-    [checkpoints], [lost_waves]) is the single source of truth that
-    [Wrun.Checkpoint] and the simulators delegate to, so model,
-    simulator and real runtime cannot disagree by construction. *)
+    [checkpoints], [lost_waves]) is the single source of truth for
+    {!Model}'s protocol and the real runtime's snapshot schedule, so
+    model, simulators and real runtime cannot disagree by construction. *)
 
 type policy = {
   interval : int;  (** K: waves between checkpoints; 0 disables. *)

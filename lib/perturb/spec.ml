@@ -1,6 +1,6 @@
 (* A perturbation specification: everything that may push an execution off
    the ideal path the plug-and-play model assumes, as one seeded, fully
-   deterministic description shared by all three substrates.
+   deterministic description shared by every substrate.
 
    The textual form is a whitespace-separated list of clauses, usable on a
    `wavefront perturb --perturb "..."` command line or as the value of a
@@ -72,51 +72,56 @@ let is_zero t =
      | Some { amplitude; _ } -> amplitude = 0.0)
   && t.coll_noise = 0.0
 
-let invalid fmt = Fmt.kstr invalid_arg fmt
+(* The one range check: every value finite and inside its clause's
+   domain (NaN fails every comparison, so it is rejected too). [v] raises
+   on the reason and [of_string] reports it against the clause that
+   introduced the value; [None] means the spec is valid. *)
+let check t =
+  let need ok fmt = Fmt.kstr (fun m -> if ok then None else Some m) fmt in
+  let amount what x =
+    need (Float.is_finite x && x >= 0.0) "%s must be finite and >= 0, got %g"
+      what x
+  in
+  let index what i = need (i >= 0) "%s must be >= 0, got %d" what i in
+  List.find_map Fun.id
+    ((match t.noise with
+     | No_noise -> []
+     | Uniform a -> [ amount "noise amplitude" a ]
+     | Exponential m -> [ amount "noise mean" m ])
+    @ (match t.link with
+      | None -> []
+      | Some { prob; delay } ->
+          [ need (prob >= 0.0 && prob <= 1.0)
+              "link probability must be in [0, 1], got %g" prob;
+            amount "link delay" delay ])
+    @ List.concat_map
+        (fun ({ rank; delay } : straggler) ->
+          [ index "straggler rank" rank; amount "straggler delay" delay ])
+        t.stragglers
+    @ List.concat_map
+        (fun { rank; after_tiles } ->
+          [ index "fail rank" rank; index "fail tile count" after_tiles ])
+        t.failures
+    @ List.concat_map
+        (fun { rank; wave; delay } ->
+          [ index "pulse rank" rank; index "pulse wave" wave;
+            amount "pulse delay" delay ])
+        t.pulses
+    @ (match t.periodic with
+      | None -> []
+      | Some { period; amplitude } ->
+          [ need (period >= 1) "periodic period must be >= 1, got %d" period;
+            amount "periodic amplitude" amplitude ])
+    @ [ amount "collnoise amplitude" t.coll_noise ])
 
 let v ?(seed = 0) ?(noise = No_noise) ?link ?(stragglers = [])
     ?(failures = []) ?(pulses = []) ?periodic ?(coll_noise = 0.0) () =
-  (match noise with
-  | No_noise -> ()
-  | Uniform a | Exponential a ->
-      if a < 0.0 || not (Float.is_finite a) then
-        invalid "Perturb.Spec.v: noise amplitude %g must be finite and >= 0" a);
-  (match link with
-  | None -> ()
-  | Some { prob; delay } ->
-      if prob < 0.0 || prob > 1.0 then
-        invalid "Perturb.Spec.v: link probability %g outside [0, 1]" prob;
-      if delay < 0.0 then invalid "Perturb.Spec.v: negative link delay");
-  List.iter
-    (fun ({ rank; delay } : straggler) ->
-      if rank < 0 then invalid "Perturb.Spec.v: negative straggler rank";
-      if delay < 0.0 then invalid "Perturb.Spec.v: negative straggler delay")
-    stragglers;
-  List.iter
-    (fun { rank; after_tiles } ->
-      if rank < 0 then invalid "Perturb.Spec.v: negative failure rank";
-      if after_tiles < 0 then
-        invalid "Perturb.Spec.v: negative failure tile count")
-    failures;
-  List.iter
-    (fun { rank; wave; delay } ->
-      if rank < 0 then invalid "Perturb.Spec.v: negative pulse rank";
-      if wave < 0 then invalid "Perturb.Spec.v: negative pulse wave";
-      if delay < 0.0 || not (Float.is_finite delay) then
-        invalid "Perturb.Spec.v: pulse delay %g must be finite and >= 0" delay)
-    pulses;
-  (match periodic with
-  | None -> ()
-  | Some { period; amplitude } ->
-      if period < 1 then
-        invalid "Perturb.Spec.v: periodic period %d must be >= 1" period;
-      if amplitude < 0.0 || not (Float.is_finite amplitude) then
-        invalid "Perturb.Spec.v: periodic amplitude %g must be finite and >= 0"
-          amplitude);
-  if coll_noise < 0.0 || not (Float.is_finite coll_noise) then
-    invalid "Perturb.Spec.v: collective noise %g must be finite and >= 0"
-      coll_noise;
-  { seed; noise; link; stragglers; failures; pulses; periodic; coll_noise }
+  let t =
+    { seed; noise; link; stragglers; failures; pulses; periodic; coll_noise }
+  in
+  match check t with
+  | None -> t
+  | Some reason -> invalid_arg ("Perturb.Spec.v: " ^ reason)
 
 (* The expected extra compute fraction per tile, the analytic side's view
    of the noise distribution. *)
@@ -154,6 +159,7 @@ let pp_parse_error ppf e =
    clause text and its byte offset in the input. *)
 let err fmt = Fmt.kstr (fun m -> Error m) fmt
 
+(* Clause syntax only: the values' ranges are [check]'s business. *)
 let parse_clause spec clause =
   let float_of s = float_of_string_opt s in
   let int_of s = int_of_string_opt s in
@@ -161,7 +167,7 @@ let parse_clause spec clause =
     match String.split_on_char ':' v with
     | [ a; b ] -> (
         match (of_a a, of_b b) with
-        | Some a, Some b -> k a b
+        | Some a, Some b -> Ok (k a b)
         | _ -> err "expected %s" shape)
     | _ -> err "expected %s" shape
   in
@@ -169,7 +175,7 @@ let parse_clause spec clause =
     match String.split_on_char ':' v with
     | [ a; b; c ] -> (
         match (of_a a, of_b b, of_c c) with
-        | Some a, Some b, Some c -> k a b c
+        | Some a, Some b, Some c -> Ok (k a b c)
         | _ -> err "expected %s" shape)
     | _ -> err "expected %s" shape
   in
@@ -187,67 +193,40 @@ let parse_clause spec clause =
           match String.split_on_char ':' v with
           | [ "uniform"; a ] | [ a ] -> (
               match float_of a with
-              | Some a when a >= 0.0 -> Ok { spec with noise = Uniform a }
-              | _ -> err "noise amplitude must be a float >= 0, got %S" a)
+              | Some a -> Ok { spec with noise = Uniform a }
+              | None -> err "noise amplitude must be a float, got %S" a)
           | [ "exp"; m ] -> (
               match float_of m with
-              | Some m when m >= 0.0 -> Ok { spec with noise = Exponential m }
-              | _ -> err "noise mean must be a float >= 0, got %S" m)
+              | Some m -> Ok { spec with noise = Exponential m }
+              | None -> err "noise mean must be a float, got %S" m)
           | _ -> err "expected noise=uniform:FRAC, noise=exp:FRAC or \
                       noise=FRAC")
       | "link" ->
           two v float_of float_of ~shape:"link=PROB:DELAY_US"
-            (fun prob delay ->
-              if prob < 0.0 || prob > 1.0 then
-                err "link probability must be in [0, 1], got %g" prob
-              else if delay < 0.0 then
-                err "link delay must be >= 0, got %g" delay
-              else Ok { spec with link = Some { prob; delay } })
+            (fun prob delay -> { spec with link = Some { prob; delay } })
       | "straggler" ->
           two v int_of float_of ~shape:"straggler=RANK:DELAY_US"
             (fun rank delay ->
-              if rank < 0 then err "straggler rank must be >= 0, got %d" rank
-              else if delay < 0.0 then
-                err "straggler delay must be >= 0, got %g" delay
-              else
-                Ok
-                  {
-                    spec with
-                    stragglers = spec.stragglers @ [ { rank; delay } ];
-                  })
+              { spec with stragglers = spec.stragglers @ [ { rank; delay } ] })
       | "fail" ->
           two v int_of int_of ~shape:"fail=RANK:AFTER_TILES"
             (fun rank after_tiles ->
-              if rank < 0 then err "fail rank must be >= 0, got %d" rank
-              else if after_tiles < 0 then
-                err "fail tile count must be >= 0, got %d" after_tiles
-              else
-                Ok
-                  {
-                    spec with
-                    failures = spec.failures @ [ { rank; after_tiles } ];
-                  })
+              {
+                spec with
+                failures = spec.failures @ [ { rank; after_tiles } ];
+              })
       | "pulse" ->
           three v int_of int_of float_of ~shape:"pulse=RANK:WAVE:DELAY_US"
             (fun rank wave delay ->
-              if rank < 0 then err "pulse rank must be >= 0, got %d" rank
-              else if wave < 0 then err "pulse wave must be >= 0, got %d" wave
-              else if delay < 0.0 then
-                err "pulse delay must be >= 0, got %g" delay
-              else
-                Ok { spec with pulses = spec.pulses @ [ { rank; wave; delay } ] })
+              { spec with pulses = spec.pulses @ [ { rank; wave; delay } ] })
       | "periodic" ->
           two v int_of float_of ~shape:"periodic=PERIOD_WAVES:AMPLITUDE_US"
             (fun period amplitude ->
-              if period < 1 then
-                err "periodic period must be >= 1, got %d" period
-              else if amplitude < 0.0 then
-                err "periodic amplitude must be >= 0, got %g" amplitude
-              else Ok { spec with periodic = Some { period; amplitude } })
+              { spec with periodic = Some { period; amplitude } })
       | "collnoise" -> (
           match float_of v with
-          | Some a when a >= 0.0 -> Ok { spec with coll_noise = a }
-          | _ -> err "collnoise amplitude must be a float >= 0, got %S" v)
+          | Some a -> Ok { spec with coll_noise = a }
+          | None -> err "collnoise amplitude must be a float, got %S" v)
       | _ ->
           err
             "unknown clause %S (known: seed, noise, link, straggler, fail, \
@@ -276,9 +255,9 @@ let of_string_loc text =
   List.fold_left
     (fun acc (clause, position) ->
       Result.bind acc (fun spec ->
-          match parse_clause spec clause with
-          | Ok spec -> Ok spec
-          | Error reason -> Error { clause; position; reason }))
+          Result.bind (parse_clause spec clause) (fun spec ->
+              match check spec with None -> Ok spec | Some r -> Error r)
+          |> Result.map_error (fun reason -> { clause; position; reason })))
     (Ok zero) (tokenize text)
 
 let of_string text =

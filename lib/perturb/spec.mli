@@ -72,9 +72,11 @@ val v :
   ?coll_noise:float ->
   unit ->
   t
-(** Validating constructor; raises [Invalid_argument] on negative
-    amplitudes, delays, ranks or waves, a link probability outside [0, 1],
-    or a periodic period < 1. *)
+(** Validating constructor; raises [Invalid_argument] on a negative or
+    non-finite (infinite or NaN) amplitude or delay, a negative rank, wave
+    or tile count, a link probability outside [0, 1] (or NaN), or a
+    periodic period < 1. {!of_string} applies the same check and reports
+    it against the offending clause. *)
 
 val mean_noise_frac : t -> float
 (** Expected extra compute fraction per tile, used by the analytic

@@ -46,14 +46,6 @@ exception Stuck_on of { rank : int; src : int }
 
 type status = Alive | Done | Failed | Blocked_recv of int | Blocked_coll
 
-type recovery = {
-  policy : Perturb.Recover.policy;
-  last_ckpt : int array;
-  cur_wave : int array;
-  revived : bool array;
-  ckpts : int array;  (* per-rank, summed into the outcome *)
-}
-
 (* A queued epilogue operation (congruent across ranks). *)
 type eop =
   | Ehalo of { dst : int option; src : int option; bytes : int }
@@ -74,7 +66,6 @@ type t = {
          instead of building a fresh tuple per tile, keeping the
          steady-state step allocation-free *)
   model : Perturb.Model.t option;
-  recover : recovery option;
   tracer : Obs.Tracer.t option;
   sink : cell_sink option;
   (* --- SoA core --- *)
@@ -222,6 +213,23 @@ let wave_args w = [ (Obs.Timeline.wave_arg, Obs.Span.Int w) ]
 let epilogue_args =
   [ (Obs.Timeline.wave_arg, Obs.Span.Int Obs.Timeline.epilogue_wave) ]
 
+(* An injected delay, spent as a clock advance in column [col] (the
+   epilogue's is [t.cols]): the compute-side clauses count as compute,
+   link and collective stalls as comm (all of it wait), the recovery
+   protocol as neither. *)
+let spend t ~rank ~col (kind : Perturb.Model.kind) d =
+  let name = Perturb.Model.span_name kind in
+  let tag = if col = t.cols then epilogue_args else wave_args col in
+  match kind with
+  | Noise | Straggler | Pulse | Periodic ->
+      charge t ~rank ~name ~cat:"compute" ~col ~bucket:Bcompute ~args:tag d
+  | Link | Collnoise ->
+      charge t ~rank ~name ~cat:"comm" ~col ~bucket:Bother
+        ~args:(("wait", Obs.Span.Float d) :: tag)
+        d
+  | Checkpoint | Restart | Replay ->
+      charge t ~rank ~name ~cat:"recover" ~col ~bucket:Bother ~args:tag d
+
 (* --- the substrate --- *)
 
 module Backend = struct
@@ -274,14 +282,8 @@ module Backend = struct
     (match t.model with
     | None -> ()
     | Some m ->
-        let d = Perturb.Model.link_extra m ~src:rank in
-        if d > 0.0 then begin
-          let w = wave t ~rank ~tile in
-          charge t ~rank ~name:"perturb.link" ~cat:"comm" ~col:w
-            ~bucket:Bother
-            ~args:(("wait", Obs.Span.Float d) :: wave_args w)
-            d
-        end);
+        Perturb.Model.before_send m ~rank
+          (spend t ~rank ~col:(wave t ~rank ~tile)));
     let t0 = t.clock.(rank) in
     let axis2 = match axis with Substrate.X -> 0 | Y -> 2 in
     let onchip = link_onchip t ~rank ~peer:dst ~axis2 in
@@ -305,31 +307,14 @@ module Backend = struct
         ~wait:0.0
     end
 
-  let recover_in_place t ~rank ~tile r =
-    (match t.model with
-    | Some m -> Perturb.Model.revive m ~rank
-    | None -> ());
-    r.revived.(rank) <- true;
-    let w = wave t ~rank ~tile in
-    let args = wave_args w in
-    let lost = r.cur_wave.(rank) - r.last_ckpt.(rank) in
-    let ch name d =
-      if d > 0.0 then
-        charge t ~rank ~name ~cat:"recover" ~col:w ~bucket:Bother ~args d
-    in
-    ch "recover.restart" r.policy.restart_cost;
-    ch "recover.replay"
-      (float_of_int lost
-      *. (Costs.compute t.costs +. Costs.precompute t.costs))
-
   let compute t ~rank ~dir:_ ~tile ~h:_ ~x:_ ~y:_ =
-    (match t.model with
-    | Some m when Perturb.Model.fails_now m ~rank -> (
-        match t.recover with
-        | Some r -> recover_in_place t ~rank ~tile r
-        | None -> raise (Perturb.Model.Killed { rank; tile }))
-    | _ -> ());
     let work = Costs.compute t.costs in
+    (match t.model with
+    | None -> ()
+    | Some m ->
+        Perturb.Model.before_compute m ~rank ~tile
+          ~wave_cost:(work +. Costs.precompute t.costs)
+          (spend t ~rank ~col:(wave t ~rank ~tile)));
     let t0 = t.clock.(rank) in
     t.clock.(rank) <- t0 +. work;
     if observed t then begin
@@ -340,17 +325,8 @@ module Backend = struct
     (match t.model with
     | None -> ()
     | Some m ->
-        let w = wave t ~rank ~tile in
-        let args = if t.tracer != None then wave_args w else [] in
-        let ch name d =
-          if d > 0.0 then
-            charge t ~rank ~name ~cat:"compute" ~col:w ~bucket:Bcompute ~args
-              d
-        in
-        ch "perturb.noise" (Perturb.Model.noise_extra m ~rank ~work);
-        ch "perturb.straggler" (Perturb.Model.straggler_delay m ~rank);
-        ch "perturb.pulse" (Perturb.Model.pulse_extra m ~rank);
-        ch "perturb.periodic" (Perturb.Model.periodic_extra m ~rank));
+        Perturb.Model.after_compute m ~rank ~work
+          (spend t ~rank ~col:(wave t ~rank ~tile)));
     t.faces
 
   let precompute t ~rank ~tile =
@@ -369,21 +345,11 @@ module Backend = struct
   let sweep_begin t ~rank ~sweep ~dir:_ = t.sweep.(rank) <- sweep
 
   let tile_begin t ~rank ~pos ~wave:gwave =
-    match t.recover with
+    match t.model with
     | None -> ()
-    | Some r ->
-        r.cur_wave.(rank) <- gwave;
-        if Perturb.Recover.due ~interval:r.policy.interval ~wave:gwave
-        then begin
-          r.ckpts.(rank) <- r.ckpts.(rank) + 1;
-          r.last_ckpt.(rank) <- gwave;
-          let d = r.policy.ckpt_cost in
-          if d > 0.0 then begin
-            let w = wave t ~rank ~tile:pos.Substrate.tile in
-            charge t ~rank ~name:"recover.checkpoint" ~cat:"recover" ~col:w
-              ~bucket:Bother ~args:(wave_args w) d
-          end
-        end
+    | Some m ->
+        Perturb.Model.tile_begin m ~rank ~wave:gwave
+          (spend t ~rank ~col:(wave t ~rank ~tile:pos.Substrate.tile))
 
   let fixed_work t ~rank d =
     if d > 0.0 then
@@ -616,19 +582,7 @@ let make_state ~perturb ~recover ~obs ~cells ~costs pg
     msg_ew = cfg.Program.msg_ew;
     msg_ns = cfg.Program.msg_ns;
     faces = (cfg.Program.msg_ew, cfg.Program.msg_ns);
-    model = Option.map (Perturb.Model.create ~ranks) perturb;
-    recover =
-      (match recover with
-      | Some p when Perturb.Recover.enabled p ->
-          Some
-            {
-              policy = p;
-              last_ckpt = Array.make ranks 0;
-              cur_wave = Array.make ranks 0;
-              revived = Array.make ranks false;
-              ckpts = Array.make ranks 0;
-            }
-      | _ -> None);
+    model = Perturb.Model.create ?perturb ?recover ~ranks ();
     tracer = obs;
     sink = cells;
     clock = Array.make ranks 0.0;
@@ -779,12 +733,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
         if alive rank then begin
           (match (collnoise, t.model) with
           | true, Some m ->
-              let d = Perturb.Model.coll_extra m ~rank in
-              if d > 0.0 then
-                charge t ~rank ~name:"perturb.collnoise" ~cat:"comm"
-                  ~col:t.cols ~bucket:Bother
-                  ~args:(("wait", Obs.Span.Float d) :: epilogue_args)
-                  d
+              Perturb.Model.before_allreduce m ~rank (spend t ~rank ~col:t.cols)
           | _ -> ());
           t.eop_t0.(rank) <- t.clock.(rank)
         end);
@@ -903,18 +852,15 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           | _ -> ());
           finish_cells t ~rank));
   (* --- outcome --- *)
-  let blocked = ref [] and failed = ref [] and recovered = ref [] in
+  let blocked = ref [] and failed = ref [] in
   for rank = ranks - 1 downto 0 do
-    (match t.status.(rank) with
+    match t.status.(rank) with
     | Blocked_recv src ->
         blocked :=
           (rank, Fmt.str "blocked receiving from rank %d" src) :: !blocked
     | Blocked_coll -> blocked := (rank, "blocked in a collective") :: !blocked
     | Failed -> failed := rank :: !failed
-    | Alive | Done -> ());
-    match t.recover with
-    | Some r when r.revived.(rank) -> recovered := rank :: !recovered
-    | _ -> ()
+    | Alive | Done -> ()
   done;
   let completed = !blocked = [] && !failed = [] in
   let elapsed = Array.fold_left Float.max 0.0 t.finish in
@@ -928,9 +874,8 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     waves = t.cols;
     blocked = !blocked;
     failed = !failed;
-    recovered = !recovered;
-    checkpoints =
-      (match t.recover with None -> 0 | Some r -> sum r.ckpts);
+    recovered = Option.fold ~none:[] ~some:Perturb.Model.recovered t.model;
+    checkpoints = Option.fold ~none:0 ~some:Perturb.Model.checkpoints t.model;
     messages = sum t.sent;
     orphaned = sum t.sent - sum t.rcvd;
     bus_wait = Array.fold_left ( +. ) 0.0 t.bus_acc;

@@ -1,7 +1,8 @@
 (* Versioned per-rank snapshots of wavefront state, the passive half of
-   the recovery layer (the active half — detection, rollback, replay —
-   lives with each substrate: [Shmpi] supervision for the real runtime,
-   event-time charging in the simulators).
+   the recovery layer. The active half is [Perturb.Model]'s protocol —
+   the kill, the revival and the checkpoint/restart/replay charges every
+   simulated substrate spends — plus [Shmpi] supervision, which rolls a
+   killed real rank back to its snapshot.
 
    A snapshot is everything a rank needs to re-enter [Program.run_rank]
    at a tile boundary: the resumable {!Substrate.position}, the
@@ -10,10 +11,10 @@
    per-peer message-sequence marks [sent]/[recvd] that tell the channel
    log how far to rewind and what it may release.
 
-   Snapshots are taken at {!Substrate.S.tile_begin} when {!due} says the
-   wave is a checkpoint wave. The interval [K = 0] means checkpointing
-   is disabled — [due] is then never true, so a zero policy is invisible
-   by construction. *)
+   Snapshots are taken at {!Substrate.S.tile_begin} when
+   [Perturb.Recover.due] says the wave is a checkpoint wave. The interval
+   [K = 0] means checkpointing is disabled — [due] is then never true, so
+   a zero policy is invisible by construction. *)
 
 type snapshot = {
   rank : int;
@@ -26,12 +27,6 @@ type snapshot = {
   sent : int array;  (** Per-destination-rank send sequence marks. *)
   recvd : int array;  (** Per-source-rank receive sequence marks. *)
 }
-
-(* The interval arithmetic is owned by the model ([Perturb.Recover]) and
-   only delegated to here, so the closed-form overhead term and the
-   substrates' snapshot schedule can never disagree. *)
-let due = Perturb.Recover.due
-let count ~interval ~waves = Perturb.Recover.checkpoints ~interval ~waves
 
 (* A store hides where snapshots live. Ranks save concurrently from
    their own domains; implementations synchronise internally. *)

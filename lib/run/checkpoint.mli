@@ -5,8 +5,8 @@
     boundary — the resumable {!Substrate.position}, the accumulated
     solution block, the transport kernel's carried z-face, and per-peer
     message-sequence marks for the channel log. Substrates take
-    snapshots at {!Substrate.S.tile_begin} when {!due} holds; interval
-    [K = 0] disables checkpointing entirely. *)
+    snapshots at {!Substrate.S.tile_begin} when [Perturb.Recover.due]
+    holds; interval [K = 0] disables checkpointing entirely. *)
 
 type snapshot = {
   rank : int;
@@ -19,16 +19,6 @@ type snapshot = {
   sent : int array;  (** Per-destination-rank send sequence marks. *)
   recvd : int array;  (** Per-source-rank receive sequence marks. *)
 }
-
-val due : interval:int -> wave:int -> bool
-(** Whether wave [wave] is a checkpoint wave under interval [interval]:
-    [interval > 0 && wave > 0 && wave mod interval = 0]. Never true for
-    [interval <= 0], so a zero policy is invisible by construction. *)
-
-val count : interval:int -> waves:int -> int
-(** How many of the [waves] tile steps (waves [0 .. waves-1]) are
-    checkpoint waves under [interval] — the multiplier for the
-    closed-form checkpoint-overhead term. *)
 
 type store
 (** Where snapshots live. Ranks save concurrently from their own

@@ -279,8 +279,6 @@ type t = {
   msg_ew : int;
   msg_ns : int;
   model : Perturb.Model.t option;
-  revived : bool array option;
-      (* ranks a recovery policy brought back; [None] without a policy *)
   mutable mismatches : string list;  (* reversed; capped *)
   mutable n_mismatch : int;
 }
@@ -289,7 +287,7 @@ let mismatch_cap = 16
 
 let create ?perturb ?recover ~ranks ~msg_ew ~msg_ns () =
   let sched = Raw.create ~ranks in
-  let model = Option.map (Perturb.Model.create ~ranks) perturb in
+  let model = Perturb.Model.create ?perturb ?recover ~ranks () in
   (match model with
   | None -> ()
   | Some m ->
@@ -302,10 +300,6 @@ let create ?perturb ?recover ~ranks ~msg_ew ~msg_ns () =
     msg_ew;
     msg_ns;
     model;
-    revived =
-      (match recover with
-      | Some p when Perturb.Recover.enabled p -> Some (Array.make ranks false)
-      | _ -> None);
     mismatches = [];
     n_mismatch = 0;
   }
@@ -346,17 +340,14 @@ module Substrate = struct
 
   (* A spec'd kill: under a recovery policy the rank is revived in place
      (the wavefront DAG makes rollback local, so the precedence graph is
-     unchanged and recovery is pure bookkeeping); without one its fiber
-     ends here. *)
+     unchanged and recovery is pure bookkeeping, its delays unspent);
+     without one its fiber ends here. *)
   let compute t ~rank ~dir:_ ~tile ~h:_ ~x:_ ~y:_ =
     (match t.model with
-    | Some m when Perturb.Model.fails_now m ~rank -> (
-        match t.revived with
-        | Some revived ->
-            Perturb.Model.revive m ~rank;
-            revived.(rank) <- true
-        | None -> raise (Perturb.Model.Killed { rank; tile }))
-    | _ -> ());
+    | None -> ()
+    | Some m ->
+        Perturb.Model.before_compute m ~rank ~tile ~wave_cost:0.0 (fun _ _ ->
+            ()));
     ( { axis = Substrate.X; tile; bytes = t.msg_ew },
       { axis = Substrate.Y; tile; bytes = t.msg_ns } )
 
@@ -391,17 +382,11 @@ end
 let exec t program = Raw.exec t.sched program
 
 let outcome t =
-  let recovered =
-    match t.revived with
-    | None -> []
-    | Some revived ->
-        let acc = ref [] in
-        for rank = Array.length revived - 1 downto 0 do
-          if revived.(rank) then acc := rank :: !acc
-        done;
-        !acc
-  in
-  { (Raw.outcome t.sched) with mismatches = List.rev t.mismatches; recovered }
+  {
+    (Raw.outcome t.sched) with
+    mismatches = List.rev t.mismatches;
+    recovered = Option.fold ~none:[] ~some:Perturb.Model.recovered t.model;
+  }
 
 let run ?iterations ?tiling ?perturb ?recover pg app =
   let cfg = Program.of_app ?iterations ?tiling pg app in

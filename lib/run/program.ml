@@ -106,9 +106,6 @@ let epilogue_at (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
       exchange (0, 1) ns;
       exchange (0, -1) ns
 
-(* Global wave index of a tile step: one wave per tile compute, counted
-   across sweeps and iterations — the clock the checkpoint interval ticks
-   on, and the per-rank counter [Perturb.Model.fails_now] advances. *)
 let epilogue (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg rank
     =
   epilogue_at (module S) s cfg rank (Proc_grid.coords cfg.pg rank)
@@ -120,6 +117,10 @@ let position_lt (a : Substrate.position) (b : Substrate.position) =
   || (a.iteration = b.iteration
      && (a.sweep < b.sweep || (a.sweep = b.sweep && a.tile < b.tile)))
 
+(* Global wave index of a tile step: one wave per tile compute, counted
+   across sweeps and iterations — the clock the checkpoint interval ticks
+   on, and the per-rank tile counter [Perturb.Model.before_compute]
+   advances. *)
 let wave_of cfg (p : Substrate.position) =
   let nsweeps = List.length (Sweeps.Schedule.sweeps cfg.schedule) in
   ((((p.iteration - 1) * nsweeps) + p.sweep) * cfg.tiling.ntiles) + p.tile

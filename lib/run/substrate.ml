@@ -15,11 +15,12 @@
    take the calling [rank]: a substrate value may be shared by every rank
    (the simulator) or private to one (the shared-memory runtime).
 
-   The fine grain also carries the perturbation layer's draw-alignment
-   contract: a backend honouring a [Perturb.Spec] makes exactly one noise
-   draw per [compute] and one link draw per wavefront [send], in program
-   order, so the same seeded spec injects the same delay sequence into
-   every substrate. *)
+   The fine grain also anchors the perturbation and recovery protocol: a
+   backend honouring a [Perturb.Spec] calls [Perturb.Model]'s step
+   functions from [tile_begin], [compute], the wavefront [send] and
+   [allreduce], and only decides how each delay the model hands it is
+   spent. The model holds the draw-alignment contract, so the same seeded
+   spec injects the same delay sequence into every substrate. *)
 
 (* Which of the two downstream dimensions a boundary face crosses. The
    direction of travel along the axis is the sweep's business ([Program]
@@ -78,8 +79,9 @@ module type S = sig
       step's resumable position and its global wave index
       [wave = ((iteration - 1) * nsweeps + sweep) * ntiles + tile]. This is
       the checkpoint layer's anchor: a substrate honouring a checkpoint
-      policy snapshots its state here when the wave is due (Checkpoint.due),
-      and a simulated substrate charges the modeled checkpoint cost.
+      policy snapshots its state here when the wave is due
+      ([Perturb.Recover.due]), and a simulated substrate spends the
+      modeled checkpoint cost [Perturb.Model.tile_begin] charges.
       Substrates without recovery bookkeeping do nothing. *)
 
   (* Non-wavefront operations between iterations (Table 3's

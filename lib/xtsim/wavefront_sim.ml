@@ -22,14 +22,13 @@
      injection delays, permanent stragglers and rank failures — the same
      spec the real runtime and the batched engine accept (including the
      wave-indexed idle-wave scenarios: pulse, periodic, collective noise).
-     Injected delays advance the simulated clock as dedicated events and
-     are tagged as "perturb.noise" / "perturb.straggler" / "perturb.link" /
-     "perturb.pulse" / "perturb.periodic" / "perturb.collnoise" spans, so
-     critical-path reports show where delay was absorbed vs propagated. A
-     killed rank's fiber stops (its sends never happen); downstream ranks
-     block forever and the run completes with [completed = false] and the
-     dead ranks in [failed] — the simulated analogue of the real runtime's
-     Rank_failure degradation. *)
+     Perturb.Model decides every delay; this module only spends them,
+     advancing the simulated clock as dedicated events tagged with the
+     model's span names, so critical-path reports show where delay was
+     absorbed vs propagated. A killed rank's fiber stops (its sends never
+     happen); downstream ranks block forever and the run completes with
+     [completed = false] and the dead ranks in [failed] — the simulated
+     analogue of the real runtime's Rank_failure degradation. *)
 
 open Wgrid
 open Wavefront_core
@@ -109,17 +108,6 @@ let () =
              ranks max_ranks estimated_events)
     | _ -> None)
 
-(* Recovery bookkeeping, the simulated counterpart of the real
-   supervisor: [last_ckpt]/[cur_wave] are global wave indices (from
-   tile_begin), so the rollback depth at a kill is their difference. *)
-type recovery = {
-  policy : Perturb.Recover.policy;
-  last_ckpt : int array;
-  cur_wave : int array;
-  revived : bool array;
-  mutable ckpts : int;
-}
-
 module Backend = struct
   type t = {
     engine : Engine.t;
@@ -133,8 +121,7 @@ module Backend = struct
     jitter : (unit -> float) array;
     ntiles : int;
     sweep : int array;  (* per-rank current sweep, for wave tagging *)
-    perturb : Perturb.Model.t option;
-    recover : recovery option;
+    model : Perturb.Model.t option;
     compute : float array;
     comm : float array;
     waits : float array;
@@ -186,19 +173,7 @@ module Backend = struct
       jitter = Array.init cores jitter_of;
       ntiles = Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile;
       sweep = Array.make cores 0;
-      perturb = Option.map (Perturb.Model.create ~ranks:cores) perturb;
-      recover =
-        (match recover with
-        | Some p when Perturb.Recover.enabled p ->
-            Some
-              {
-                policy = p;
-                last_ckpt = Array.make cores 0;
-                cur_wave = Array.make cores 0;
-                revived = Array.make cores false;
-                ckpts = 0;
-              }
-        | _ -> None);
+      model = Perturb.Model.create ?perturb ?recover ~ranks:cores ();
       compute = Array.make cores 0.0;
       comm = Array.make cores 0.0;
       waits = Array.make cores 0.0;
@@ -259,16 +234,22 @@ module Backend = struct
       emit t name "compute" rank ~start:t0 ~args
     end
 
-  (* Recovery-protocol time (checkpointing, restart, replayed waves):
-     advances the simulated clock and is tagged as a [recover.*] span,
-     but belongs to neither the compute nor the comm attribution — it is
-     the overhead the closed-form recovery term predicts. *)
-  let timed_recover ?(args = no_args) t rank name d =
-    if d > 0.0 then begin
-      let t0 = Engine.now t.engine in
-      Engine.wait d;
-      emit t name "recover" rank ~start:t0 ~args
-    end
+  (* An injected delay advances the simulated clock as its own span:
+     the compute-side clauses count as compute, link and collective
+     stalls as comm, and the recovery protocol (checkpointing, restart,
+     replayed waves) as neither — it is the overhead the closed-form
+     recovery term predicts. *)
+  let spend t rank args (kind : Perturb.Model.kind) d =
+    let name = Perturb.Model.span_name kind in
+    match kind with
+    | Noise | Straggler | Pulse | Periodic ->
+        timed_compute ~name ~args t rank d
+    | Link | Collnoise ->
+        timed_comm ~name ~args t rank (fun () -> Engine.wait d)
+    | Checkpoint | Restart | Replay ->
+        let t0 = Engine.now t.engine in
+        Engine.wait d;
+        emit t name "recover" rank ~start:t0 ~args
 
   (* Wave tagging for the timeline: spans inside the tile loop carry
      [wave = sweep * ntiles + tile]; everything outside it (collectives,
@@ -304,22 +285,14 @@ module Backend = struct
         (fun () -> Mpi_sim.recv t.mpi ~dst:rank ~src ~size:bytes);
       bytes
 
-    (* The spec's link contention: a seeded injection delay spent before
-       the send enters the network, so downstream receivers see the
-       message later — tagged as its own comm span. *)
-    let inject_link_delay t rank ~tile =
-      match t.perturb with
+    (* Link contention is spent before the send enters the network, so
+       downstream receivers see the message later. *)
+    let send t ~rank ~dst ~axis ~tile bytes =
+      (match t.model with
       | None -> ()
       | Some m ->
-          let extra = Perturb.Model.link_extra m ~src:rank in
-          if extra > 0.0 then
-            timed_comm ~name:"perturb.link"
-              ~args:(fun () -> [ wave_of t rank tile ])
-              t rank
-              (fun () -> Engine.wait extra)
-
-    let send t ~rank ~dst ~axis ~tile bytes =
-      inject_link_delay t rank ~tile;
+          Perturb.Model.before_send m ~rank
+            (spend t rank (fun () -> [ wave_of t rank tile ])));
       timed_comm
         ~pure:(pure_send t rank dst bytes)
         ~name:"send"
@@ -341,63 +314,36 @@ module Backend = struct
         t rank
         (w_pre *. t.jitter.(rank) ())
 
+    (* A kill under a recovery policy is survived in simulated time:
+       the restart and the replay of the lost waves are charged before
+       this very tile's work. *)
     let compute t ~rank ~dir:_ ~tile ~h:_ ~x:_ ~y:_ =
-      (match t.perturb with
-      | Some m when Perturb.Model.fails_now m ~rank -> (
-          (* Under a recovery policy the kill is survived: the rank is
-             restored from its last snapshot and re-executes the lost
-             waves, all charged in simulated time, then carries on with
-             this very tile — fail-stop with replacement, so it never
-             dies again. *)
-          match t.recover with
-          | Some r ->
-              Perturb.Model.revive m ~rank;
-              r.revived.(rank) <- true;
-              let args () = [ wave_of t rank tile ] in
-              timed_recover ~args t rank "recover.restart"
-                r.policy.restart_cost;
-              let w, w_pre = t.work.(rank) in
-              let lost = r.cur_wave.(rank) - r.last_ckpt.(rank) in
-              timed_recover ~args t rank "recover.replay"
-                (float_of_int lost *. (w +. w_pre))
-          | None -> raise (Perturb.Model.Killed { rank; tile }))
-      | _ -> ());
       let args () = [ wave_of t rank tile ] in
-      let w, _ = t.work.(rank) in
-      timed_compute ~args t rank (w *. t.jitter.(rank) ());
-      (match t.perturb with
+      let w, w_pre = t.work.(rank) in
+      (match t.model with
       | None -> ()
       | Some m ->
-          let extra = Perturb.Model.noise_extra m ~rank ~work:w in
-          if extra > 0.0 then
-            timed_compute ~name:"perturb.noise" ~args t rank extra;
-          let d = Perturb.Model.straggler_delay m ~rank in
-          if d > 0.0 then
-            timed_compute ~name:"perturb.straggler" ~args t rank d;
-          let p = Perturb.Model.pulse_extra m ~rank in
-          if p > 0.0 then timed_compute ~name:"perturb.pulse" ~args t rank p;
-          let pd = Perturb.Model.periodic_extra m ~rank in
-          if pd > 0.0 then
-            timed_compute ~name:"perturb.periodic" ~args t rank pd);
+          Perturb.Model.before_compute m ~rank ~tile ~wave_cost:(w +. w_pre)
+            (spend t rank args));
+      timed_compute ~args t rank (w *. t.jitter.(rank) ());
+      (match t.model with
+      | None -> ()
+      | Some m ->
+          Perturb.Model.after_compute m ~rank ~work:w (spend t rank args));
       (t.msg_ew, t.msg_ns)
 
     let sweep_begin t ~rank ~sweep ~dir:_ = t.sweep.(rank) <- sweep
 
-    (* The checkpoint anchor: on due waves, charge the modeled snapshot
-       cost before the tile's work. A strict no-op without a policy, so
-       the zero config stays bitwise invisible. *)
+    (* The checkpoint anchor: the modeled snapshot cost is charged
+       before the tile's work. A no-op without a policy, so the zero
+       config stays bitwise invisible. *)
     let tile_begin t ~rank ~pos ~wave =
-      match t.recover with
+      match t.model with
       | None -> ()
-      | Some r ->
-          r.cur_wave.(rank) <- wave;
-          if Perturb.Recover.due ~interval:r.policy.interval ~wave then begin
-            r.ckpts <- r.ckpts + 1;
-            r.last_ckpt.(rank) <- wave;
-            timed_recover
-              ~args:(fun () -> [ wave_of t rank pos.Wrun.Substrate.tile ])
-              t rank "recover.checkpoint" r.policy.ckpt_cost
-          end
+      | Some m ->
+          Perturb.Model.tile_begin m ~rank ~wave
+            (spend t rank (fun () ->
+                 [ wave_of t rank pos.Wrun.Substrate.tile ]))
 
     let fixed_work t ~rank d = timed_compute ~args:epilogue_args t rank d
 
@@ -420,18 +366,12 @@ module Backend = struct
 
     (* Collective noise: a seeded stall before the rank enters the
        all-reduce, the classic desynchronization source of the idle-wave
-       literature. One draw per allreduce substrate call, on every rank. *)
-    let inject_coll_delay t rank =
-      match t.perturb with
+       literature. *)
+    let allreduce t ~rank ~count ~msg_size =
+      (match t.model with
       | None -> ()
       | Some m ->
-          let extra = Perturb.Model.coll_extra m ~rank in
-          if extra > 0.0 then
-            timed_comm ~name:"perturb.collnoise" ~args:epilogue_args t rank
-              (fun () -> Engine.wait extra)
-
-    let allreduce t ~rank ~count ~msg_size =
-      inject_coll_delay t rank;
+          Perturb.Model.before_allreduce m ~rank (spend t rank epilogue_args));
       timed_comm ~name:"allreduce" ~args:epilogue_args t rank (fun () ->
           for _ = 1 to count do
             Collective.allreduce t.coll t.mpi ~rank ~msg_size
@@ -510,14 +450,8 @@ let run ?(iterations = 1) ?(max_ranks = default_max_ranks) ?(balanced = false)
       Array.to_list
         (Array.mapi (fun r f -> if f then Some r else None) b.failed_flags)
       |> List.filter_map Fun.id;
-    recovered =
-      (match b.recover with
-      | None -> []
-      | Some rc ->
-          Array.to_list
-            (Array.mapi (fun r f -> if f then Some r else None) rc.revived)
-          |> List.filter_map Fun.id);
-    checkpoints = (match b.recover with None -> 0 | Some rc -> rc.ckpts);
+    recovered = Option.fold ~none:[] ~some:Perturb.Model.recovered b.model;
+    checkpoints = Option.fold ~none:0 ~some:Perturb.Model.checkpoints b.model;
     events = Engine.events_executed engine;
     sends = Mpi_sim.sends b.mpi;
     stats =

@@ -430,6 +430,139 @@ let qcheck_differential =
       && Obs.Timeline.equal ~tol:0.0 tl_cells tl_dom
       && od.elapsed = ob.elapsed)
 
+(* --- One protocol on combined specs --- *)
+
+(* Every clause at once (no collnoise: the No_op epilogue has no
+   allreduce), with and without a recovery policy, on any of the three
+   applications; each rank-naming clause names a rank of the run. The
+   grids keep every face under the 1024-byte eager limit: a rendezvous
+   send to a dead rank blocks its sender in the event simulator, while
+   the batched engine's sends are all eager. *)
+let gen_protocol_case =
+  let open QCheck.Gen in
+  let no_op app =
+    { app with
+      Wavefront_core.App_params.nonwavefront = Wavefront_core.App_params.No_op
+    }
+  in
+  let* cores = int_range 4 25 in
+  let* iterations = int_range 1 2 in
+  let* n = int_range 6 10 in
+  let grid = Data_grid.cube n in
+  let* app =
+    oneofl
+      [
+        ("sweep3d", no_op (Apps.Sweep3d.params grid));
+        ("lu", no_op (Apps.Lu.params grid));
+        ("chimaera", no_op (Apps.Chimaera.params grid));
+      ]
+  in
+  let rank = int_range 0 (cores - 1) in
+  let* seed = int_range 0 10_000 in
+  let* noise =
+    oneof
+      [
+        return Perturb.Spec.No_noise;
+        map (fun a -> Perturb.Spec.Uniform a) (float_range 0.0 0.3);
+        map (fun m -> Perturb.Spec.Exponential m) (float_range 0.0 0.2);
+      ]
+  in
+  let* link =
+    opt
+      (map2
+         (fun prob delay -> { Perturb.Spec.prob; delay })
+         (float_range 0.0 0.3) (float_range 0.0 20.0))
+  in
+  let* stragglers =
+    list_size (int_range 0 2)
+      (map2
+         (fun rank delay -> { Perturb.Spec.rank; delay })
+         rank (float_range 0.0 200.0))
+  in
+  let* pulses =
+    list_size (int_range 0 2)
+      (map3
+         (fun rank wave delay -> { Perturb.Spec.rank; wave; delay })
+         rank (int_range 0 30) (float_range 0.0 400.0))
+  in
+  let* periodic =
+    opt
+      (map2
+         (fun period amplitude -> { Perturb.Spec.period; amplitude })
+         (int_range 1 8) (float_range 0.0 80.0))
+  in
+  let* failures =
+    list_size (int_range 0 2)
+      (map2
+         (fun rank after_tiles -> { Perturb.Spec.rank; after_tiles })
+         rank (int_range 0 40))
+  in
+  let* recover =
+    opt
+      (map3
+         (fun k ckpt_cost restart_cost ->
+           Perturb.Recover.v ~ckpt_cost ~restart_cost k)
+         (int_range 1 8) (float_range 0.0 50.0) (float_range 0.0 500.0))
+  in
+  return
+    ( cores,
+      app,
+      iterations,
+      Perturb.Spec.v ~seed ~noise ?link ~stragglers ~pulses ?periodic
+        ~failures (),
+      recover )
+
+let print_protocol_case (cores, (name, _), iterations, perturb, recover) =
+  Fmt.str "%d ranks, %s, %d iteration(s), [%a], recovery %a" cores name
+    iterations Perturb.Spec.pp perturb
+    Fmt.(option ~none:(any "none") Perturb.Recover.pp)
+    recover
+
+(* A traced run's perturb.* and recover.* spans, per rank in program
+   order, as (name, wave, duration). *)
+let protocol_spans ~ranks tr =
+  let per_rank = Array.make ranks [] in
+  let prefixed name p =
+    String.length name > String.length p
+    && String.sub name 0 (String.length p) = p
+  in
+  List.iter
+    (fun (s : Obs.Span.t) ->
+      if prefixed s.name "perturb." || prefixed s.name "recover." then
+        per_rank.(s.rank) <-
+          (s.name, Obs.Span.arg_int s Obs.Timeline.wave_arg, s.dur)
+          :: per_rank.(s.rank))
+    (Obs.Tracer.spans tr);
+  Array.map List.rev per_rank
+
+let qcheck_one_protocol =
+  QCheck.Test.make ~count:60
+    ~name:"batched = event protocol spans on combined specs"
+    (QCheck.make ~print:print_protocol_case gen_protocol_case)
+    (fun (cores, (_, app), iterations, perturb, recover) ->
+      let pg = Proc_grid.of_cores cores in
+      let tr_b = Obs.Tracer.create () and tr_e = Obs.Tracer.create () in
+      let ob =
+        Wrun.Batched.run ~iterations ~perturb ?recover ~obs:tr_b
+          ~costs:(costs_for pg app) pg app
+      in
+      let oe =
+        Xtsim.Wavefront_sim.run ~iterations ~perturb ?recover ~obs:tr_e
+          (event_machine pg) app
+      in
+      let od = Wrun.Dataflow.run ~iterations ~perturb ?recover pg app in
+      let same (nb, wb, db) (ne, we, de) =
+        nb = ne && wb = we && Float.abs (db -. de) <= 1e-6
+      in
+      Array.for_all2
+        (fun b e -> List.length b = List.length e && List.for_all2 same b e)
+        (protocol_spans ~ranks:cores tr_b)
+        (protocol_spans ~ranks:cores tr_e)
+      && ob.failed = oe.failed
+      && ob.recovered = oe.recovered
+      && ob.checkpoints = oe.checkpoints
+      && od.recovered = ob.recovered)
+
 let suite =
   [
     ( "batched.identity",
@@ -443,6 +576,7 @@ let suite =
         Alcotest.test_case "recovery outcome matches event" `Quick
           test_recovery_matches_event;
         QCheck_alcotest.to_alcotest qcheck_differential;
+        QCheck_alcotest.to_alcotest qcheck_one_protocol;
       ] );
     ( "batched.epilogue",
       [

@@ -94,6 +94,192 @@ let test_spec_zero () =
     | Ok s -> Perturb.Spec.is_zero s
     | Error _ -> false)
 
+(* Non-finite values: of_string and the constructor share one check. *)
+let test_spec_rejects_non_finite () =
+  List.iter
+    (fun text ->
+      match Perturb.Spec.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error (`Msg _) -> ())
+    [ "noise=uniform:inf"; "noise=exp:inf"; "pulse=1:2:inf"; "periodic=3:inf";
+      "collnoise=inf"; "straggler=1:nan"; "straggler=1:inf"; "link=nan:5";
+      "link=0.5:inf"; "link=0.5:nan"; "noise=nan"; "collnoise=-inf" ];
+  let rejected name f =
+    Alcotest.(check bool)
+      (name ^ " rejected by Spec.v")
+      true
+      (match f () with
+      | (_ : Perturb.Spec.t) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejected "NaN straggler delay" (fun () ->
+      Perturb.Spec.v ~stragglers:[ { rank = 1; delay = Float.nan } ] ());
+  rejected "NaN link probability" (fun () ->
+      Perturb.Spec.v ~link:{ prob = Float.nan; delay = 5.0 } ());
+  rejected "infinite link delay" (fun () ->
+      Perturb.Spec.v ~link:{ prob = 0.5; delay = Float.infinity } ())
+
+(* Whatever of_string accepts, the constructor accepts too, and rebuilds
+   the same spec. *)
+let prop_spec_one_validator =
+  let clause =
+    let open QCheck.Gen in
+    let f =
+      oneofl
+        [ "0"; "-0"; "0.5"; "1"; "2"; "25"; "-1"; "1e308"; "1e-300";
+          "0x1p-3"; "nan"; "inf"; "-inf" ]
+    in
+    let i = oneofl [ "0"; "1"; "3"; "40"; "-1" ] in
+    let* key =
+      oneofl
+        [ "seed"; "noise=uniform"; "noise=exp"; "noise"; "link"; "straggler";
+          "fail"; "pulse"; "periodic"; "collnoise" ]
+    in
+    let join = String.concat ":" in
+    match key with
+    | "seed" -> map (fun v -> "seed=" ^ v) i
+    | "noise=uniform" | "noise=exp" -> map (fun v -> key ^ ":" ^ v) f
+    | "noise" | "collnoise" -> map (fun v -> key ^ "=" ^ v) f
+    | "link" -> map2 (fun a b -> "link=" ^ join [ a; b ]) f f
+    | "straggler" -> map2 (fun a b -> "straggler=" ^ join [ a; b ]) i f
+    | "fail" -> map2 (fun a b -> "fail=" ^ join [ a; b ]) i i
+    | "pulse" -> map3 (fun a b c -> "pulse=" ^ join [ a; b; c ]) i i f
+    | _ -> map2 (fun a b -> "periodic=" ^ join [ a; b ]) i f
+  in
+  QCheck.Test.make ~count:500 ~name:"of_string accepts only what Spec.v accepts"
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(map (String.concat " ") (list_size (int_range 1 4) clause)))
+    (fun text ->
+      match Perturb.Spec.of_string text with
+      | Error _ -> true
+      | Ok s -> (
+          match
+            Perturb.Spec.v ~seed:s.seed ~noise:s.noise ?link:s.link
+              ~stragglers:s.stragglers ~failures:s.failures ~pulses:s.pulses
+              ?periodic:s.periodic ~coll_noise:s.coll_noise ()
+          with
+          | s' -> s' = s
+          | exception Invalid_argument _ -> false))
+
+(* --- The protocol's step functions --- *)
+
+(* A [spend] callback that records what it is handed, by span name. *)
+let spend_log () =
+  let log = ref [] in
+  ( (fun kind d -> log := (Perturb.Model.span_name kind, d) :: !log),
+    fun () -> List.rev !log )
+
+let test_model_nothing_to_inject () =
+  let none ?perturb ?recover () =
+    Option.is_none (Perturb.Model.create ?perturb ?recover ~ranks:4 ())
+  in
+  Alcotest.(check bool) "no spec, no policy" true (none ());
+  Alcotest.(check bool) "no spec, disabled policy" true
+    (none ~recover:Perturb.Recover.disabled ());
+  Alcotest.(check bool) "a spec alone" false
+    (none ~perturb:Perturb.Spec.zero ());
+  Alcotest.(check bool) "an enabled policy alone" false
+    (none ~recover:(Perturb.Recover.v 4) ())
+
+let test_model_compute_order () =
+  let spec =
+    Perturb.Spec.v ~seed:1 ~noise:(Uniform 0.5)
+      ~stragglers:[ { rank = 0; delay = 7.0 } ]
+      ~pulses:[ { rank = 0; wave = 0; delay = 11.0 } ]
+      ~periodic:{ period = 1; amplitude = 13.0 } ()
+  in
+  let m = Option.get (Perturb.Model.create ~perturb:spec ~ranks:2 ()) in
+  let spend, log = spend_log () in
+  Perturb.Model.before_compute m ~rank:0 ~tile:0 ~wave_cost:100.0 spend;
+  Perturb.Model.after_compute m ~rank:0 ~work:10.0 spend;
+  Alcotest.(check (list string)) "noise, straggler, pulse, periodic"
+    [ "perturb.noise"; "perturb.straggler"; "perturb.pulse";
+      "perturb.periodic" ]
+    (List.map fst (log ()));
+  Alcotest.(check (list (float 0.0))) "the deterministic delays"
+    [ 7.0; 11.0; 13.0 ]
+    (List.tl (List.map snd (log ())))
+
+let test_model_spends_positive () =
+  let drive spec recover =
+    let m =
+      Option.get (Perturb.Model.create ~perturb:spec ?recover ~ranks:4 ())
+    in
+    let spend, log = spend_log () in
+    for wave = 0 to 11 do
+      for rank = 0 to 3 do
+        Perturb.Model.tile_begin m ~rank ~wave spend;
+        Perturb.Model.before_compute m ~rank ~tile:wave ~wave_cost:5.0 spend;
+        Perturb.Model.after_compute m ~rank
+          ~work:(if rank = 0 then 0.0 else 20.0)
+          spend;
+        Perturb.Model.before_send m ~rank spend
+      done
+    done;
+    for rank = 0 to 3 do
+      Perturb.Model.before_allreduce m ~rank spend
+    done;
+    log ()
+  in
+  (* Zero-valued clauses, and a free policy whose kill lands on a
+     checkpoint wave, leave nothing to spend. *)
+  let zero_valued =
+    Perturb.Spec.v ~seed:3 ~noise:(Uniform 0.0)
+      ~link:{ prob = 0.5; delay = 0.0 }
+      ~stragglers:[ { rank = 1; delay = 0.0 } ]
+      ~pulses:[ { rank = 2; wave = 1; delay = 0.0 } ]
+      ~periodic:{ period = 2; amplitude = 0.0 }
+      ~failures:[ { rank = 3; after_tiles = 4 } ]
+      ()
+  in
+  Alcotest.(check int) "zero-valued clauses spend nothing" 0
+    (List.length (drive zero_valued (Some (Perturb.Recover.v 4))));
+  let live =
+    Perturb.Spec.v ~seed:3 ~noise:(Exponential 0.2)
+      ~link:{ prob = 0.5; delay = 4.0 }
+      ~stragglers:[ { rank = 1; delay = 2.0 } ]
+      ~pulses:[ { rank = 2; wave = 1; delay = 9.0 } ]
+      ~periodic:{ period = 2; amplitude = 3.0 }
+      ~failures:[ { rank = 3; after_tiles = 5 } ]
+      ~coll_noise:5.0 ()
+  in
+  let spent =
+    drive live (Some (Perturb.Recover.v ~ckpt_cost:1.0 ~restart_cost:2.0 4))
+  in
+  Alcotest.(check bool) "live clauses spend" true (List.length spent > 50);
+  Alcotest.(check bool) "spend never receives d <= 0" true
+    (List.for_all (fun (_, d) -> d > 0.0) spent)
+
+let test_model_kill_with_policy () =
+  let spec = Perturb.Spec.v ~failures:[ { rank = 1; after_tiles = 6 } ] () in
+  let policy = Perturb.Recover.v ~ckpt_cost:5.0 ~restart_cost:40.0 4 in
+  let m =
+    Option.get (Perturb.Model.create ~perturb:spec ~recover:policy ~ranks:2 ())
+  in
+  let spend, log = spend_log () in
+  for wave = 0 to 9 do
+    Perturb.Model.tile_begin m ~rank:1 ~wave spend;
+    Perturb.Model.before_compute m ~rank:1 ~tile:wave ~wave_cost:3.0 spend
+  done;
+  let lost = Perturb.Recover.lost_waves policy ~fail_wave:6 in
+  Alcotest.(check int) "waves since the wave-4 checkpoint" 2 lost;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "checkpoint, restart, replay of the lost waves, checkpoint"
+    [ ("recover.checkpoint", 5.0); ("recover.restart", 40.0);
+      ("recover.replay", float_of_int lost *. 3.0);
+      ("recover.checkpoint", 5.0) ]
+    (log ());
+  Alcotest.(check (list int)) "recovered" [ 1 ] (Perturb.Model.recovered m);
+  Alcotest.(check int) "checkpoints counted" 2 (Perturb.Model.checkpoints m);
+  let m = Option.get (Perturb.Model.create ~perturb:spec ~ranks:2 ()) in
+  for tile = 0 to 5 do
+    Perturb.Model.before_compute m ~rank:1 ~tile ~wave_cost:3.0 spend
+  done;
+  Alcotest.check_raises "without a policy the kill raises"
+    (Perturb.Model.Killed { rank = 1; tile = 6 })
+    (fun () ->
+      Perturb.Model.before_compute m ~rank:1 ~tile:6 ~wave_cost:3.0 spend)
+
 (* --- Zero-spec identity and seeded determinism on the simulator --- *)
 
 module Sim_rec = Wrun.Record.Wrap (Xtsim.Wavefront_sim.Backend.Substrate)
@@ -412,6 +598,20 @@ let suite =
           test_spec_round_trip;
         Alcotest.test_case "rejects malformed clauses" `Quick test_spec_rejects;
         Alcotest.test_case "zero spec detection" `Quick test_spec_zero;
+        Alcotest.test_case "rejects non-finite values" `Quick
+          test_spec_rejects_non_finite;
+        QCheck_alcotest.to_alcotest prop_spec_one_validator;
+      ] );
+    ( "perturb.model",
+      [
+        Alcotest.test_case "nothing to inject is None" `Quick
+          test_model_nothing_to_inject;
+        Alcotest.test_case "compute-side order" `Quick
+          test_model_compute_order;
+        Alcotest.test_case "spend never receives d <= 0" `Quick
+          test_model_spends_positive;
+        Alcotest.test_case "kill under a policy: restart then replay" `Quick
+          test_model_kill_with_policy;
       ] );
     ( "perturb.real",
       [

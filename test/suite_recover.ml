@@ -422,7 +422,7 @@ let prop_zero_interval_identity =
 (* An independent interpreter of the Figure-4 protocol: per-rank op lists
    driven to a fixpoint with plain counters. A kill strikes at the rank's
    [after_tiles]-th compute — after that tile's receives, before its
-   sends — exactly Perturb.Model.fails_now's schedule. The dataflow
+   sends — exactly Perturb.Model.before_compute's schedule. The dataflow
    backend's orphan count must equal what this fixpoint proves stranded. *)
 type oracle_op = Recv of int | Compute | Send of int
 
