@@ -6,6 +6,35 @@ open Wavefront_core
 
 (* --- Shared argument parsing --- *)
 
+(* A usage error: one "wavefront: ..." line on stderr, then exit 2. *)
+let usage_error fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.epr "wavefront: %s@." m;
+      exit 2)
+    fmt
+
+(* Every output file a subcommand writes goes through here (--metrics-out
+   aside, whose failure is only a warning). A path that cannot be written
+   is one "cannot write <what>" line on stderr and exit 1. The file is
+   opened as soon as [what] and [path] are applied, so a subcommand can
+   fail before a long run; [emit] then gets the file's writer, and [note]
+   extends the success line. *)
+let write_file what path =
+  let fail m =
+    Fmt.epr "wavefront: cannot write %s: %s@." what m;
+    exit 1
+  in
+  let oc = try open_out path with Sys_error m -> fail m in
+  fun ?(note = "") emit ->
+    (try
+       emit (output_string oc);
+       close_out oc
+     with Sys_error m ->
+       close_out_noerr oc;
+       fail m);
+    Fmt.pr "%s written to %s%s@." what path note
+
 let app_names = [ "lu"; "sweep3d"; "chimaera" ]
 
 let app_arg =
@@ -77,7 +106,7 @@ let make_app ?spec name grid ~htile ~wg ~iterations =
     | Some path -> (
         match Apps.Spec.of_file path with
         | Ok app -> app
-        | Error (`Msg m) -> Fmt.failwith "%s: %s" path m)
+        | Error (`Msg m) -> usage_error "%s: %s" path m)
     | None -> (
         match name with
         | "lu" -> Apps.Lu.params ?wg ?iterations grid
@@ -105,9 +134,7 @@ let engine_arg =
    is a usage error (exit 2). *)
 let capacity_arg =
   let check = function
-    | Some c when c < 1 ->
-        Fmt.epr "wavefront: --capacity must be at least 1@.";
-        exit 2
+    | Some c when c < 1 -> usage_error "--capacity must be at least 1"
     | c -> c
   in
   Term.(
@@ -116,25 +143,30 @@ let capacity_arg =
            & info [ "capacity" ] ~docv:"N"
                ~doc:"Per-tracer span capacity (drops are reported)."))
 
-(* The perturbation a subcommand runs: --perturb on the command line, then
-   the spec file's perturb stanza, then the zero spec (a do-nothing control
-   run). A bad --perturb is a usage error (exit 2). *)
-let resolve_perturb spec pspec =
-  match pspec with
-  | Some s -> (
-      match Perturb.Spec.of_string s with
-      | Ok p -> p
-      | Error (`Msg m) ->
-          Fmt.epr "wavefront: --perturb: %s@." m;
-          exit 2)
-  | None -> (
-      match spec with
-      | None -> Perturb.Spec.zero
-      | Some path -> (
-          match Apps.Spec.full_of_file path with
-          | Ok { perturb = Some p; _ } -> p
-          | Ok { perturb = None; _ } -> Perturb.Spec.zero
-          | Error (`Msg m) -> Fmt.failwith "%s: %s" path m))
+(* The perturbation a subcommand runs on [ranks] ranks: --perturb on the
+   command line, then the spec file's perturb stanza, then the zero spec (a
+   do-nothing control run). A bad clause, a bad spec file or a clause naming
+   a rank the run does not have is a usage error (exit 2), caught here
+   before any substrate starts. *)
+let resolve_perturb ~ranks spec pspec =
+  let source, p =
+    match (pspec, spec) with
+    | Some s, _ -> (
+        match Perturb.Spec.of_string s with
+        | Ok p -> ("--perturb", p)
+        | Error (`Msg m) -> usage_error "--perturb: %s" m)
+    | None, None -> ("", Perturb.Spec.zero)
+    | None, Some path -> (
+        match Apps.Spec.full_of_file path with
+        | Ok { perturb; _ } ->
+            (path, Option.value perturb ~default:Perturb.Spec.zero)
+        | Error (`Msg m) -> usage_error "%s: %s" path m)
+  in
+  let top = Perturb.Spec.max_rank p in
+  if top >= ranks then
+    usage_error "%s names rank %d but the run has only %d ranks" source top
+      ranks;
+  p
 
 let no_bus_arg =
   Arg.(value & flag
@@ -150,8 +182,7 @@ let no_bus_arg =
 let or_rank_ceiling f =
   try f ()
   with Xtsim.Wavefront_sim.Rank_ceiling _ as e ->
-    Fmt.epr "wavefront: %s@." (Printexc.to_string e);
-    exit 2
+    usage_error "%s" (Printexc.to_string e)
 
 let waves_of (app : App_params.t) =
   Sweeps.Schedule.nsweeps app.schedule
@@ -321,10 +352,7 @@ let explain_cmd =
 
 let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
     domains max_ranks tl_json tl_csv ctx =
-  if domains < 1 then begin
-    Fmt.epr "wavefront: --domains must be at least 1@.";
-    exit 2
-  end;
+  if domains < 1 then usage_error "--domains must be at least 1";
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
   let pg = Wgrid.Proc_grid.of_cores cores in
   let cmp = Wgrid.Cmp.of_cores_per_node cpn in
@@ -334,16 +362,6 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
     Fmt.pr "model prediction: %a/iteration (error %+.2f%%)@." Units.pp_time
       model
       (100.0 *. (model -. per_iteration) /. per_iteration)
-  in
-  let write path emit what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        emit (output_string oc);
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
   in
   let finish kv =
     Obs_ctx.finish ?spec
@@ -404,15 +422,13 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
         (total Obs.Timeline.Wait) Units.pp_time (total Obs.Timeline.Idle);
       Option.iter
         (fun p ->
-          write p
-            (fun w -> Obs.Timeline_stream.emit_json ~label:"simulate" stream w)
-            "timeline-stream JSON")
+          write_file "timeline-stream JSON" p
+            (Obs.Timeline_stream.emit_json ~label:"simulate" stream))
         tl_json;
       Option.iter
         (fun p ->
-          write p
-            (fun w -> Obs.Timeline_stream.emit_csv stream w)
-            "timeline-stream CSV")
+          write_file "timeline-stream CSV" p
+            (Obs.Timeline_stream.emit_csv stream))
         tl_csv;
       finish
         [ ("per_iteration", o.per_iteration); ("elapsed", o.elapsed);
@@ -504,17 +520,17 @@ let csv_arg =
        & info [ "csv" ] ~docv:"DIR"
            ~doc:"Also write each table as DIR/<id>.csv.")
 
+(* A directory that cannot be made is reported by the write into it. *)
 let write_csv dir (t : Harness.Table.t) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (String.lowercase_ascii t.id ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (Harness.Table.to_csv t);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+   with Sys_error _ -> ());
+  write_file "table CSV"
+    (Filename.concat dir (String.lowercase_ascii t.id ^ ".csv"))
+    (fun w -> w (Harness.Table.to_csv t))
 
 let figure ids full csv ctx =
   let scale = if full then Harness.Experiments.Full else Quick in
-  let run_id (_id, f) =
+  let run f =
     let artifacts = f () in
     List.iter (Harness.Experiments.render_artifact Fmt.stdout) artifacts;
     Option.iter
@@ -526,15 +542,21 @@ let figure ids full csv ctx =
           artifacts)
       csv
   in
-  (match ids with
-  | [] -> List.iter run_id (Harness.Experiments.all ~scale ())
-  | ids ->
-      List.iter
-        (fun id ->
-          match Harness.Experiments.find ~scale id with
-          | Some f -> run_id (id, f)
-          | None -> Fmt.invalid_arg "unknown experiment %S" id)
-        ids);
+  (* Every id is checked before the first experiment runs. *)
+  let experiments =
+    match ids with
+    | [] -> List.map snd (Harness.Experiments.all ~scale ())
+    | ids ->
+        List.map
+          (fun id ->
+            match Harness.Experiments.find ~scale id with
+            | Some f -> f
+            | None ->
+                usage_error "unknown experiment %S (known: %s)" id
+                  (String.concat ", " (Harness.Experiments.ids ())))
+          ids
+  in
+  List.iter run experiments;
   Obs_ctx.finish
     ~config:(Fmt.str "%s|full%b" (String.concat "," ids) full)
     ~kv:[ ("experiments", float_of_int (max 1 (List.length ids))) ]
@@ -601,14 +623,14 @@ let report app_name grid cores cpn htile wg iterations trace_csv ctx =
   List.iter
     (fun (proto, n) -> Fmt.pr "  %-10s %d@." proto n)
     (Xtsim.Trace.by_protocol trace);
-  (match trace_csv with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Xtsim.Trace.to_csv trace);
-      close_out oc;
-      Fmt.pr "trace written to %s (%d of %d messages)@." path
-        (Xtsim.Trace.recorded trace) (Xtsim.Trace.total trace));
+  Option.iter
+    (fun path ->
+      write_file "trace" path
+        ~note:
+          (Fmt.str " (%d of %d messages)" (Xtsim.Trace.recorded trace)
+             (Xtsim.Trace.total trace))
+        (fun w -> w (Xtsim.Trace.to_csv trace)))
+    trace_csv;
   Obs_ctx.finish ~engine:"event"
     ~config:
       (Fmt.str "%s|%a|p%d|c%d" app.App_params.name Wgrid.Data_grid.pp
@@ -637,21 +659,15 @@ let profile spec app_name grid cores cpn htile wg iterations platform real
     cores cpn platform.Loggp.Params.name;
   let p = Harness.Profile.run ~real ?capacity cfg app in
   Fmt.pr "%a@." Harness.Profile.pp p;
-  (match trace_out with
-  | None -> ()
-  | Some path -> (
-      match open_out path with
-      | exception Sys_error m ->
-          Fmt.epr "wavefront: cannot write trace: %s@." m;
-          exit 1
-      | oc ->
-          output_string oc (Harness.Profile.trace_json p);
-          close_out oc;
-          let dropped = p.sim_dropped + p.real_dropped in
-          Fmt.pr
-            "trace written to %s (load in Perfetto / chrome://tracing)%s@."
-            path
-            (if dropped > 0 then Fmt.str "; %d spans dropped" dropped else "")));
+  Option.iter
+    (fun path ->
+      let dropped = p.sim_dropped + p.real_dropped in
+      write_file "trace" path
+        ~note:
+          (" (load in Perfetto / chrome://tracing)"
+          ^ if dropped > 0 then Fmt.str "; %d spans dropped" dropped else "")
+        (fun w -> w (Harness.Profile.trace_json p)))
+    trace_out;
   Obs_ctx.finish ~metrics:p.metrics ~engine:"event" ?spec
     ~config:
       (Fmt.str "%s|%a|p%d|c%d|%s|real%b" app.App_params.name
@@ -689,7 +705,7 @@ let profile_cmd =
 let perturb spec app_name grid cores cpn htile wg iterations platform engine
     no_bus pspec real capacity ctx =
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec = resolve_perturb spec pspec in
+  let pspec = resolve_perturb ~ranks:cores spec pspec in
   let cfg = make_cfg platform ~cores ~cpn in
   Fmt.pr "perturbing %s on %d cores (%d/node, %s) with [%a]...@."
     app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
@@ -752,16 +768,12 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     no_bus pspec interval ckpt_cost restart_cost tolerance real
     fail_on_mismatch capacity out ctx =
   (match interval with
-  | Some k when k < 0 ->
-      Fmt.epr "wavefront: --interval must be >= 0@.";
-      exit 2
+  | Some k when k < 0 -> usage_error "--interval must be >= 0"
   | _ -> ());
-  if ckpt_cost < 0.0 || restart_cost < 0.0 then begin
-    Fmt.epr "wavefront: checkpoint and restart costs must be >= 0@.";
-    exit 2
-  end;
+  if ckpt_cost < 0.0 || restart_cost < 0.0 then
+    usage_error "checkpoint and restart costs must be >= 0";
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec = resolve_perturb spec pspec in
+  let pspec = resolve_perturb ~ranks:cores spec pspec in
   let cfg = make_cfg platform ~cores ~cpn in
   (* --interval omitted: take the Daly-style optimum for this run. *)
   let interval =
@@ -786,17 +798,11 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
           ?tolerance ?capacity ~policy cfg app pspec)
   in
   Fmt.pr "%a@." Harness.Recover_report.pp r;
-  (match out with
-  | None -> ()
-  | Some path -> (
-      match open_out path with
-      | exception Sys_error m ->
-          Fmt.epr "wavefront: cannot write report: %s@." m;
-          exit 1
-      | oc ->
-          output_string oc (Fmt.str "%a@." Harness.Recover_report.pp r);
-          close_out oc;
-          Fmt.pr "report written to %s@." path));
+  Option.iter
+    (fun p ->
+      write_file "report" p (fun w ->
+          w (Fmt.str "%a@." Harness.Recover_report.pp r)))
+    out;
   (* 0 clean, 3 degraded, 4 unrecovered — see Recover_report.exit_status.
      Without --fail-on-mismatch a model-vs-simulated tolerance miss (or a
      real-run grid mismatch) is reported but tolerated. *)
@@ -897,11 +903,10 @@ let timeline spec app_name grid cores cpn htile wg iterations platform engine
     match Obs.Timeline.metric_of_string metric with
     | Some m -> m
     | None ->
-        Fmt.epr
-          "wavefront: unknown --metric %S (compute, send, recv, wait, idle, \
-           busy, total)@."
-          metric;
-        exit 2
+        usage_error
+          "unknown --metric %S (compute, send, recv, wait, idle, busy, \
+           total)"
+          metric
   in
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
   let cfg = make_cfg platform ~cores ~cpn in
@@ -913,21 +918,14 @@ let timeline spec app_name grid cores cpn htile wg iterations platform engine
           ?capacity cfg app)
   in
   Fmt.pr "%a@." (Harness.Timeline_report.pp ~metric) t;
-  let write path content what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        output_string oc content;
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
-  in
   Option.iter
-    (fun p -> write p (Harness.Timeline_report.to_json t) "timeline JSON")
+    (fun p ->
+      write_file "timeline JSON" p (fun w ->
+          w (Harness.Timeline_report.to_json t)))
     json_out;
   Option.iter
-    (fun p -> write p (Harness.Timeline_report.to_csv t) "timeline CSV")
+    (fun p ->
+      write_file "timeline CSV" p (fun w -> w (Harness.Timeline_report.to_csv t)))
     csv_out;
   Obs_ctx.finish
     ~engine:(Obs_ctx.engine_name engine)
@@ -991,7 +989,6 @@ let idlewave spec app_name grid cores cpn htile wg iterations platform engine
     pgrid pspec real no_bus fail_on_mismatch capacity out json_out csv_out ctx
     =
   let app = make_app ?spec app_name grid ~htile ~wg ~iterations in
-  let pspec = resolve_perturb spec pspec in
   (* --pgrid overrides the near-square factorization of -p: idle-wave
      studies are pipeline studies, and a COLSx1 chain is where the
      analytic model is exact. *)
@@ -1006,10 +1003,9 @@ let idlewave spec app_name grid cores cpn htile wg iterations platform engine
                 ~pgrid:(Wgrid.Proc_grid.v ~cols:c ~rows:r)
                 platform ~cores:(c * r),
               c * r )
-        | _ ->
-            Fmt.epr "wavefront: --pgrid expects COLSxROWS, e.g. 16x1@.";
-            exit 2)
+        | _ -> usage_error "--pgrid expects COLSxROWS, e.g. 16x1")
   in
+  let pspec = resolve_perturb ~ranks:cores spec pspec in
   Fmt.pr "idle-wave study of %s on %d cores (%d/node, %s) with [%a]...@."
     app.App_params.name cores cpn platform.Loggp.Params.name Perturb.Spec.pp
     pspec;
@@ -1022,25 +1018,20 @@ let idlewave spec app_name grid cores cpn htile wg iterations platform engine
           ?capacity cfg app pspec)
   in
   Fmt.pr "%a@." Harness.Idlewave_report.pp r;
-  let write path content what =
-    match open_out path with
-    | exception Sys_error m ->
-        Fmt.epr "wavefront: cannot write %s: %s@." what m;
-        exit 1
-    | oc ->
-        output_string oc content;
-        close_out oc;
-        Fmt.pr "%s written to %s@." what path
-  in
   Option.iter
     (fun p ->
-      write p (Fmt.str "%a@." Harness.Idlewave_report.pp r) "report")
+      write_file "report" p (fun w ->
+          w (Fmt.str "%a@." Harness.Idlewave_report.pp r)))
     out;
   Option.iter
-    (fun p -> write p (Harness.Idlewave_report.to_json r) "idle-wave JSON")
+    (fun p ->
+      write_file "idle-wave JSON" p (fun w ->
+          w (Harness.Idlewave_report.to_json r)))
     json_out;
   Option.iter
-    (fun p -> write p (Harness.Idlewave_report.to_csv r) "idle-wave CSV")
+    (fun p ->
+      write_file "idle-wave CSV" p (fun w ->
+          w (Harness.Idlewave_report.to_csv r)))
     csv_out;
   (* 0 clean, 3 when a spec'd pulse went undetected or (with
      --fail-on-mismatch) the substrates disagree — see
@@ -1130,6 +1121,11 @@ let idlewave_cmd =
 (* --- bench --- *)
 
 let bench quick out against fail_on_regression label repeats min_delta ctx =
+  (match repeats with
+  | Some n when n < 3 -> usage_error "--repeats must be at least 3"
+  | _ -> ());
+  (* Opened now, so an unwritable --out fails before the suite runs. *)
+  let save = Option.map (write_file "report") out in
   let cases = Harness.Bench_suite.cases ~quick () in
   Fmt.pr "running %d benchmark case(s)%s...@." (List.length cases)
     (if quick then " (quick subset)" else "");
@@ -1148,16 +1144,19 @@ let bench quick out against fail_on_regression label repeats min_delta ctx =
   in
   let meta =
     [
-      ("peak_rss_mb", string_of_int (Harness.Bench_suite.peak_rss_mb ()));
+      ("peak_rss_mb", string_of_int (Obs.Runtime.peak_rss_mb ()));
       ("scale_domains", string_of_int Harness.Bench_suite.scale_domains);
+      ("git", Obs.Ledger.git_describe ());
+      ("host", Unix.gethostname ());
     ]
   in
   let report = Bench_stats.Report.v ~label ~meta results in
-  (match out with
+  (match save with
   | None -> ()
-  | Some path ->
-      Bench_stats.Report.write path report;
-      Fmt.pr "report written to %s (schema %s)@." path Bench_stats.Report.schema);
+  | Some save ->
+      save
+        ~note:(Fmt.str " (schema %s)" Bench_stats.Report.schema)
+        (fun w -> w (Bench_stats.Report.to_json report ^ "\n")));
   let regressed =
     match against with
     | None -> false
@@ -1165,12 +1164,9 @@ let bench quick out against fail_on_regression label repeats min_delta ctx =
         let baseline =
           try Bench_stats.Report.read path
           with
-          | Sys_error m ->
-              Fmt.epr "wavefront: cannot read baseline: %s@." m;
-              exit 2
-          | Bench_stats.Json.Parse_error m ->
-              Fmt.epr "wavefront: bad baseline %s: %s@." path m;
-              exit 2
+          | Sys_error m -> usage_error "cannot read baseline: %s" m
+          | Obs.Json.Parse_error m ->
+              usage_error "bad baseline %s: %s" path m
         in
         let cmp =
           Bench_stats.Compare.compare ?min_delta_pct:min_delta ~baseline
@@ -1423,12 +1419,10 @@ let alloc_targets =
   ]
 
 let telemetry targets cores assert_zero ctx =
-  if cores < 9 then begin
-    Fmt.epr
-      "wavefront: --cores must be at least 9 (the steady-state probe \
-       needs a 3x3 processor grid)@.";
-    exit 2
-  end;
+  if cores < 9 then
+    usage_error
+      "--cores must be at least 9 (the steady-state probe needs a 3x3 \
+       processor grid)";
   (* Default set: every budgeted target. The negative control only
      runs when asked for — its whole point is to exit nonzero. *)
   let selected =
@@ -1441,10 +1435,9 @@ let telemetry targets cores assert_zero ctx =
             match List.find_opt (fun t -> t.tname = n) alloc_targets with
             | Some t -> t
             | None ->
-                Fmt.epr "wavefront: unknown --target %s (have: %s)@." n
+                usage_error "unknown --target %s (have: %s)" n
                   (String.concat ", "
-                     (List.map (fun t -> t.tname) alloc_targets));
-                exit 2)
+                     (List.map (fun t -> t.tname) alloc_targets)))
           names
   in
   Fmt.pr "allocation gate: %d target(s), %d-core batched grid@."
@@ -1456,9 +1449,7 @@ let telemetry targets cores assert_zero ctx =
         Obs.Runtime.phase phases t.tname @@ fun () ->
         let f =
           try t.prepare ~cores
-          with Invalid_argument m ->
-            Fmt.epr "wavefront: %s: %s@." t.tname m;
-            exit 2
+          with Invalid_argument m -> usage_error "%s: %s" t.tname m
         in
         (t, Obs.Runtime.measure_alloc ~iterations:t.titerations f))
       selected
@@ -1546,9 +1537,7 @@ let runs_ledger_arg =
 
 let load_ledger path =
   match Obs.Ledger.load ?path () with
-  | Error m ->
-      Fmt.epr "wavefront: %s@." m;
-      exit 2
+  | Error m -> usage_error "%s" m
   | Ok (records, skipped) ->
       if skipped > 0 then
         Fmt.epr "wavefront: ledger: skipped %d malformed line(s)@." skipped;
@@ -1595,13 +1584,11 @@ let runs_compare ledger a b min_delta fail_on_regression =
   let total = List.length records in
   let resolve label i =
     let j = if i < 0 then total + i else i in
-    if j < 0 || j >= total then begin
-      Fmt.epr
-        "wavefront: %s index %d out of range (ledger has %d record(s); \
-         negative indices count from the end)@."
+    if j < 0 || j >= total then
+      usage_error
+        "%s index %d out of range (ledger has %d record(s); negative \
+         indices count from the end)"
         label i total;
-      exit 2
-    end;
     List.nth records j
   in
   let base = resolve "BASE" a and current = resolve "CURRENT" b in

@@ -3,6 +3,8 @@
    schema bump is an explicit, detectable event rather than silent field
    drift. *)
 
+module Json = Obs.Json
+
 let schema = "wavefront-bench/v1"
 
 type t = {
@@ -78,14 +80,6 @@ let of_json s =
     results =
       List.map summary_of_json (Json.get_list "results" (Json.member "results" j));
   }
-
-let write path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json t);
-      output_char oc '\n')
 
 let read path =
   let ic = open_in path in

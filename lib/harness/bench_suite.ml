@@ -1,10 +1,9 @@
-(* The shared continuous-benchmarking suite: one list of named thunks
-   covering every layer (closed-form model, simulator, dataflow
-   validator, real kernels, observability), consumed both by `wavefront
-   bench` and by bench/main.exe so the committed baseline and local runs
-   measure the same work. Case names are stable identifiers — the
-   baseline comparison matches on them — so renaming one is a deliberate
-   baseline-breaking change. *)
+(* The continuous-benchmarking suite `wavefront bench` runs: one list of
+   named thunks covering every layer (closed-form model, simulator,
+   dataflow validator, real kernels, observability), so the committed
+   baseline and local runs measure the same work. Case names are stable
+   identifiers — the baseline comparison matches on them — so renaming
+   one is a deliberate baseline-breaking change. *)
 
 open Wavefront_core
 
@@ -14,13 +13,6 @@ type case = {
   repeats : int option;  (** override the runner's repetition count *)
   f : unit -> unit;
 }
-
-(* Peak resident set of this process (VmHWM), MB; 0 where /proc is
-   unavailable. The big-run cases dominate it, so recording it next to
-   their wall-clock pins the batched engine's memory envelope too. The
-   reader itself now lives in [Obs.Runtime] (every telemetry consumer
-   shares it); this alias keeps the bench suite's surface unchanged. *)
-let peak_rss_mb = Obs.Runtime.peak_rss_mb
 
 (* How many domains the sharded scale case uses on this host — recorded
    in the report metadata so a baseline from a 1-core CI runner is not

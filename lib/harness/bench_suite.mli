@@ -1,7 +1,7 @@
-(** The shared continuous-benchmarking suite: named thunks covering the
-    model, simulator, dataflow validator, kernels and observability
-    layers. Case names are stable identifiers the baseline comparison
-    matches on. *)
+(** The continuous-benchmarking suite [wavefront bench] runs: named
+    thunks covering the model, simulator, dataflow validator, kernels and
+    observability layers. Case names are stable identifiers the baseline
+    comparison matches on. *)
 
 type case = {
   name : string;
@@ -16,11 +16,6 @@ val all : unit -> case list
 
 val cases : ?quick:bool -> unit -> case list
 (** [quick] (default false) keeps only the fast CI subset. *)
-
-val peak_rss_mb : unit -> int
-(** Peak resident set (VmHWM) of this process in MB, 0 where /proc is
-    unavailable — recorded in the report metadata so the scale cases pin
-    a memory envelope next to their wall-clock. *)
 
 val scale_domains : int
 (** Domains the sharded scale case runs with on this host

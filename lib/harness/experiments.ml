@@ -83,11 +83,3 @@ let find ?scale id =
 let render_artifact ppf = function
   | Table t -> Table.render ppf t
   | Plot p -> Plot.render ppf p
-
-let run_one ?scale ppf id =
-  match find ?scale id with
-  | None -> Fmt.invalid_arg "unknown experiment %S" id
-  | Some f -> List.iter (render_artifact ppf) (f ())
-
-let run_all ?scale ppf =
-  List.iter (fun (_, f) -> List.iter (render_artifact ppf) (f ())) (all ?scale ())

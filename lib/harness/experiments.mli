@@ -13,8 +13,3 @@ val all : ?scale:scale -> unit -> (string * (unit -> artifact list)) list
 val ids : ?scale:scale -> unit -> string list
 val find : ?scale:scale -> string -> (unit -> artifact list) option
 val render_artifact : Format.formatter -> artifact -> unit
-
-val run_one : ?scale:scale -> Format.formatter -> string -> unit
-(** Raises [Invalid_argument] for an unknown id. *)
-
-val run_all : ?scale:scale -> Format.formatter -> unit

@@ -109,10 +109,10 @@ let test_report_schema_gate () =
   let bogus = {|{"schema": "wavefront-bench/v0", "label": "x",
                  "created_at": 0, "meta": {}, "results": []}|} in
   (match Bench_stats.Report.of_json bogus with
-  | exception Bench_stats.Json.Parse_error _ -> ()
+  | exception Obs.Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "schema mismatch must be rejected");
   match Bench_stats.Report.of_json "not json at all" with
-  | exception Bench_stats.Json.Parse_error _ -> ()
+  | exception Obs.Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "malformed input must be rejected"
 
 (* --- The regression gate --- *)
