@@ -1314,10 +1314,10 @@ let measure_cmd =
    path's units of work, judged against pinned budgets. The predictor's
    closed-form evaluator and the batched engine's steady-state step are
    contractually allocation-free (budget 0, pinned exactly); the full
-   batched run and the daemon's predict path carry nonzero ratchets with
-   headroom, so a change that starts boxing in either hot loop, or puts
-   per-core work back on the predict path, trips --assert-zero-alloc in
-   CI. *)
+   batched run, bare and into a cell sink, and the daemon's predict path
+   carry nonzero ratchets with headroom, so a change that starts boxing
+   in a hot loop, or puts per-core work back on the predict path, trips
+   --assert-zero-alloc in CI. *)
 
 type alloc_target = {
   tname : string;
@@ -1329,12 +1329,32 @@ type alloc_target = {
           measured window and returns the unit of work *)
 }
 
-(* Measured at ~710k minor words per 256-rank sweep3d run (the outcome
-   record, the per-rank flat arrays, the scheduler's diagonal lists —
-   setup, not the tile loop); the ratchet pins 1M so only a real
-   regression trips it — per-tile boxing on this grid would add tens of
-   millions of words, setup jitter a few thousand. *)
-let batched_run_budget = 1_000_000.0
+(* Measured at 362,010 minor words per 256-rank sweep3d run (32,768
+   rank-tiles). Of that, 131,072 are the tile loop's 4-word position
+   record; the rest is per-segment resume positions and flow tuples,
+   and setup. The ratchet pins 450k (24% headroom): rebuilding the four
+   neighbour-coordinate tuples per tile measures 709,464 and trips it,
+   and per-op boxing on this grid would add millions of words. *)
+let batched_run_budget = 450_000.0
+
+(* The setup both full-run targets share: Sweep3D 32^3 on 256 ranks,
+   single-core nodes, bus off. *)
+let batched_run_setup () =
+  let app = Apps.Sweep3d.params (Wgrid.Data_grid.cube 32) in
+  let pg = Wgrid.Proc_grid.of_cores 256 in
+  let costs =
+    Wrun.Costs.loggp ~model_bus:false ~cmp:Wgrid.Cmp.single_core
+      Loggp.Params.xt4 pg app
+  in
+  (app, pg, costs)
+
+(* The same run streaming into a [Timeline_stream] sink, measured at
+   1,157,682 minor words: the [batched-run] words plus one 24-word cell
+   record (boxed float fields) per (rank, column), 33,024 of them. The
+   ratchet pins 1.4M (21% headroom): building span argument lists
+   without a tracer, or boxing the per-op cell bookkeeping's floats,
+   measures 6,437,728 and trips it. *)
+let batched_stream_budget = 1_400_000.0
 
 let alloc_targets =
   [
@@ -1373,13 +1393,27 @@ let alloc_targets =
       titerations = 25;
       prepare =
         (fun ~cores:_ ->
-          let app = Apps.Sweep3d.params (Wgrid.Data_grid.cube 32) in
-          let pg = Wgrid.Proc_grid.of_cores 256 in
-          let costs =
-            Wrun.Costs.loggp ~model_bus:false ~cmp:Wgrid.Cmp.single_core
-              Loggp.Params.xt4 pg app
-          in
+          let app, pg, costs = batched_run_setup () in
           fun () -> ignore (Wrun.Batched.run ~costs pg app));
+    };
+    {
+      tname = "batched-stream";
+      tdoc =
+        "Batched.run into a Timeline_stream sink, 256 ranks end to end \
+         (ratchet, not zero)";
+      budget = batched_stream_budget;
+      titerations = 25;
+      prepare =
+        (fun ~cores:_ ->
+          let app, pg, costs = batched_run_setup () in
+          let st =
+            Obs.Timeline_stream.create ~ranks:(Wgrid.Proc_grid.cores pg)
+              ~waves:(waves_of app) ()
+          in
+          fun () ->
+            ignore
+              (Wrun.Batched.run ~cells:(Obs.Timeline_stream.sink st) ~costs pg
+                 app));
     };
     {
       tname = "serve-predict";
@@ -1490,7 +1524,8 @@ let telemetry_cmd =
   let doc =
     "Measure minor-heap allocation per evaluation of the serving-path \
      units (the closed-form predictor, the batched engine's steady-state \
-     step, a full batched run) and gate them against pinned budgets"
+     step, a full batched run, bare and streaming timeline cells) and \
+     gate them against pinned budgets"
   in
   let targets =
     Arg.(value
@@ -1500,11 +1535,12 @@ let telemetry_cmd =
          & info [ "target" ] ~docv:"T"
              ~doc:
                "Target to measure (repeatable): predictor, batched-step, \
-                batched-run, serve-predict or control-alloc. Default: the \
-                four budgeted targets (predictor and batched-step pinned \
-                at 0, batched-run and serve-predict ratchets); \
-                control-alloc is a deliberately allocating closure that \
-                proves the gate can fail.")
+                batched-run, batched-stream, serve-predict or \
+                control-alloc. Default: the five budgeted targets \
+                (predictor and batched-step pinned at 0, batched-run, \
+                batched-stream and serve-predict ratchets); control-alloc \
+                is a deliberately allocating closure that proves the gate \
+                can fail.")
   in
   let cores =
     Arg.(value & opt int 4096

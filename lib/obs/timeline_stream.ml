@@ -12,28 +12,37 @@
    count.
 
    Cells for the same (rank, column) across iterations merge additively
-   with window union — the producer's contract. The fold is guarded by
-   a mutex so one accumulator can serve a multi-domain run; the batched
-   engine only emits a handful of cells per rank per sweep, so the lock
-   is not on the simulation's critical path. *)
+   with window union — the producer's contract. The fold is not
+   synchronized: the batched engine calls the sink on its calling domain
+   only, in the order of a 1-domain run, whatever its domain count, so
+   the float sums come out bitwise identical for every domain count. *)
+
+(* The bucket grid interleaves each bucket's fields, so folding a cell
+   touches one bucket's two cache lines rather than one line in each of
+   ten grid-sized arrays: cells arrive rank by rank along a diagonal,
+   and consecutive cells land in different buckets. *)
+let stride = 8
+let f_compute = 0
+let f_send = 1
+let f_recv = 2
+let f_wait = 3
+let f_other = 4
+let f_idle = 5
+let f_tmin = 6
+let f_tmax = 7
 
 type t = {
   ranks : int;
   waves : int;
   rank_buckets : int;  (* heatmap rows *)
   wave_buckets : int;  (* heatmap wavefront columns (epilogue extra) *)
-  (* bucket grid, flat [rb * (wave_buckets + 1) + cb]: per-metric sums,
-     member count, window envelope *)
-  g_compute : float array;
-  g_send : float array;
-  g_recv : float array;
-  g_wait : float array;
-  g_other : float array;
-  g_idle : float array;
-  g_spans : int array;
-  g_count : int array;
-  g_tmin : float array;
-  g_tmax : float array;
+  (* bucket grid, bucket [i = rb * (wave_buckets + 1) + cb]: per-metric
+     sums and the window envelope at [grid.(stride * i + f)] for each
+     field offset [f] (the envelope is set by the bucket's first
+     member), span and member counts at [counts.(2 * i)] and
+     [counts.(2 * i + 1)] *)
+  grid : float array;
+  counts : int array;
   (* exact per-column totals, index [col] with [waves] = epilogue *)
   col_compute : float array;
   col_send : float array;
@@ -47,7 +56,6 @@ type t = {
   b_start : float array;
   b_finish : float array;
   mutable cells : int;
-  lock : Mutex.t;
 }
 
 let create ?(max_rank_buckets = 512) ?(max_wave_buckets = 256) ~ranks ~waves
@@ -61,16 +69,8 @@ let create ?(max_rank_buckets = 512) ?(max_wave_buckets = 256) ~ranks ~waves
     waves;
     rank_buckets;
     wave_buckets;
-    g_compute = Array.make ncells 0.0;
-    g_send = Array.make ncells 0.0;
-    g_recv = Array.make ncells 0.0;
-    g_wait = Array.make ncells 0.0;
-    g_other = Array.make ncells 0.0;
-    g_idle = Array.make ncells 0.0;
-    g_spans = Array.make ncells 0;
-    g_count = Array.make ncells 0;
-    g_tmin = Array.make ncells infinity;
-    g_tmax = Array.make ncells neg_infinity;
+    grid = Array.make (stride * ncells) 0.0;
+    counts = Array.make (2 * ncells) 0;
     col_compute = Array.make (waves + 1) 0.0;
     col_send = Array.make (waves + 1) 0.0;
     col_recv = Array.make (waves + 1) 0.0;
@@ -82,7 +82,6 @@ let create ?(max_rank_buckets = 512) ?(max_wave_buckets = 256) ~ranks ~waves
     b_start = Array.make rank_buckets infinity;
     b_finish = Array.make rank_buckets neg_infinity;
     cells = 0;
-    lock = Mutex.create ();
   }
 
 let rank_bucket t rank = rank * t.rank_buckets / t.ranks
@@ -112,19 +111,20 @@ let sink t ~rank ~col (c : Timeline.cell) =
   if rank < 0 || rank >= t.ranks || col < 0 || col > t.waves then
     invalid_arg "Timeline_stream.sink: cell out of range";
   let width = c.t_end -. c.t_start in
-  Mutex.lock t.lock;
   let rb = rank_bucket t rank in
   let i = (rb * (t.wave_buckets + 1)) + wave_bucket t col in
-  t.g_compute.(i) <- t.g_compute.(i) +. c.compute;
-  t.g_send.(i) <- t.g_send.(i) +. c.send;
-  t.g_recv.(i) <- t.g_recv.(i) +. c.recv;
-  t.g_wait.(i) <- t.g_wait.(i) +. c.wait;
-  t.g_other.(i) <- t.g_other.(i) +. c.other;
-  t.g_idle.(i) <- t.g_idle.(i) +. c.idle;
-  t.g_spans.(i) <- t.g_spans.(i) + c.spans;
-  t.g_count.(i) <- t.g_count.(i) + 1;
-  if c.t_start < t.g_tmin.(i) then t.g_tmin.(i) <- c.t_start;
-  if c.t_end > t.g_tmax.(i) then t.g_tmax.(i) <- c.t_end;
+  let n = t.counts.((2 * i) + 1) in
+  t.counts.(2 * i) <- t.counts.(2 * i) + c.spans;
+  t.counts.((2 * i) + 1) <- n + 1;
+  let g = t.grid and o = stride * i in
+  g.(o + f_compute) <- g.(o + f_compute) +. c.compute;
+  g.(o + f_send) <- g.(o + f_send) +. c.send;
+  g.(o + f_recv) <- g.(o + f_recv) +. c.recv;
+  g.(o + f_wait) <- g.(o + f_wait) +. c.wait;
+  g.(o + f_other) <- g.(o + f_other) +. c.other;
+  g.(o + f_idle) <- g.(o + f_idle) +. c.idle;
+  if n = 0 || c.t_start < g.(o + f_tmin) then g.(o + f_tmin) <- c.t_start;
+  if n = 0 || c.t_end > g.(o + f_tmax) then g.(o + f_tmax) <- c.t_end;
   t.col_compute.(col) <- t.col_compute.(col) +. c.compute;
   t.col_send.(col) <- t.col_send.(col) +. c.send;
   t.col_recv.(col) <- t.col_recv.(col) +. c.recv;
@@ -135,8 +135,11 @@ let sink t ~rank ~col (c : Timeline.cell) =
   t.col_cells.(col) <- t.col_cells.(col) + 1;
   if c.t_start < t.b_start.(rb) then t.b_start.(rb) <- c.t_start;
   if c.t_end > t.b_finish.(rb) then t.b_finish.(rb) <- c.t_end;
-  t.cells <- t.cells + 1;
-  Mutex.unlock t.lock
+  t.cells <- t.cells + 1
+
+let gf t i f = t.grid.((stride * i) + f)
+let spans_of t i = t.counts.(2 * i)
+let count_of t i = t.counts.((2 * i) + 1)
 
 let cells t = t.cells
 let ranks t = t.ranks
@@ -165,20 +168,20 @@ let column_cells t col = t.col_cells.(col)
 let to_timeline t : Timeline.t =
   let ncb = t.wave_buckets + 1 in
   let cell_of i =
-    let n = t.g_count.(i) in
+    let n = count_of t i in
     if n = 0 then Timeline.zero_cell 0.0
     else
       let fn = float_of_int n in
       {
-        Timeline.t_start = t.g_tmin.(i);
-        t_end = t.g_tmax.(i);
-        compute = t.g_compute.(i) /. fn;
-        send = t.g_send.(i) /. fn;
-        recv = t.g_recv.(i) /. fn;
-        wait = t.g_wait.(i) /. fn;
-        other = t.g_other.(i) /. fn;
-        idle = t.g_idle.(i) /. fn;
-        spans = t.g_spans.(i);
+        Timeline.t_start = gf t i f_tmin;
+        t_end = gf t i f_tmax;
+        compute = gf t i f_compute /. fn;
+        send = gf t i f_send /. fn;
+        recv = gf t i f_recv /. fn;
+        wait = gf t i f_wait /. fn;
+        other = gf t i f_other /. fn;
+        idle = gf t i f_idle /. fn;
+        spans = spans_of t i;
       }
   in
   let cells =
@@ -218,7 +221,7 @@ let emit_csv t out =
   for rb = 0 to t.rank_buckets - 1 do
     for cb = 0 to t.wave_buckets do
       let i = (rb * (t.wave_buckets + 1)) + cb in
-      if t.g_count.(i) > 0 then begin
+      if count_of t i > 0 then begin
         let rlo, rhi = rank_bucket_bounds t rb in
         let wlo, whi = wave_bucket_bounds t cb in
         Buffer.add_string b
@@ -227,9 +230,10 @@ let emit_csv t out =
              rlo rhi
              (if wlo = t.waves then -1 else wlo)
              (if whi = t.waves then -1 else whi)
-             t.g_count.(i) t.g_tmin.(i) t.g_tmax.(i) t.g_compute.(i)
-             t.g_send.(i) t.g_recv.(i) t.g_wait.(i) t.g_other.(i)
-             t.g_idle.(i) t.g_spans.(i));
+             (count_of t i) (gf t i f_tmin) (gf t i f_tmax)
+             (gf t i f_compute) (gf t i f_send) (gf t i f_recv)
+             (gf t i f_wait) (gf t i f_other) (gf t i f_idle)
+             (spans_of t i));
         incr rows;
         if !rows mod flush_every = 0 then begin
           out (Buffer.contents b);
@@ -262,7 +266,7 @@ let emit_json ?(label = "") t out =
   for rb = 0 to t.rank_buckets - 1 do
     for cb = 0 to t.wave_buckets do
       let i = (rb * (t.wave_buckets + 1)) + cb in
-      if t.g_count.(i) > 0 then begin
+      if count_of t i > 0 then begin
         let rlo, rhi = rank_bucket_bounds t rb in
         let wlo, whi = wave_bucket_bounds t cb in
         if not !first then Buffer.add_char b ',';
@@ -276,9 +280,10 @@ let emit_json ?(label = "") t out =
              rlo rhi
              (if wlo = t.waves then -1 else wlo)
              (if whi = t.waves then -1 else whi)
-             t.g_count.(i) t.g_tmin.(i) t.g_tmax.(i) t.g_compute.(i)
-             t.g_send.(i) t.g_recv.(i) t.g_wait.(i) t.g_other.(i)
-             t.g_idle.(i) t.g_spans.(i));
+             (count_of t i) (gf t i f_tmin) (gf t i f_tmax)
+             (gf t i f_compute) (gf t i f_send) (gf t i f_recv)
+             (gf t i f_wait) (gf t i f_other) (gf t i f_idle)
+             (spans_of t i));
         incr rows;
         if !rows mod flush_every = 0 then begin
           out (Buffer.contents b);

@@ -7,8 +7,10 @@
     {!Timeline.render} would have displayed of the dense grid) plus
     exact full-resolution per-column totals. Memory is
     O(rank_buckets * wave_buckets + waves), independent of the rank
-    count. The fold is mutex-guarded, so one accumulator can serve a
-    multi-domain run. *)
+    count. The fold is not synchronized: call the sink from one domain
+    at a time. The batched engine calls it on its calling domain only,
+    in the order of a 1-domain run, so a multi-domain run folds to the
+    same bits. *)
 
 type t
 

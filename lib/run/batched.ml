@@ -20,7 +20,12 @@
    the staged epilogue passes). Every rank's floats depend only on its
    own perturbation streams and upstream slot values, and collective
    release points are float maxima (associative, order-independent), so
-   a run is bitwise identical across domain counts.
+   a run is bitwise identical across domain counts. So is its cell
+   stream: a domain appends the cells its band closes to the band's own
+   flat log, and after every stage the calling domain drains the logs
+   in band order into the sink. Within a stage the bands hold ascending
+   rank ranges, so the sink sees the exact order of a 1-domain run, on
+   one domain, and needs no lock.
 
    The epilogue (non-wavefront section) has cross-rank operations with
    no static rank order, so it is staged: each rank's epilogue is first
@@ -53,6 +58,38 @@ type eop =
   | Ebarrier
 
 type bucket = Bcompute | Bsend | Brecv | Bother
+
+(* The cells one row band closed during a stage, flat so that logging
+   allocates nothing once the arrays have grown: per cell, (rank, col,
+   spans) in [ints] and (t_start, t_end, compute, send, recv, wait) in
+   [floats]. Only the band's domain appends; only the calling domain
+   drains, between stages. *)
+type cell_log = {
+  mutable n : int;
+  mutable ints : int array;
+  mutable floats : float array;
+}
+
+let log_create () =
+  { n = 0; ints = Array.make (3 * 64) 0; floats = Array.make (6 * 64) 0.0 }
+
+let log_grow log =
+  let grow a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  log.ints <- grow log.ints 0;
+  log.floats <- grow log.floats 0.0
+
+(* Row bands: of [bands] domains, domain k owns the 0-based processor
+   rows [k*rows/bands, (k+1)*rows/bands), i.e. the contiguous rank range
+   [band_range pg ~bands k]; [band_of] is its inverse. *)
+let band_range (pg : Proc_grid.t) ~bands k =
+  (k * pg.rows / bands * pg.cols, (k + 1) * pg.rows / bands * pg.cols)
+
+let band_of (pg : Proc_grid.t) ~bands rank =
+  ((((rank / pg.cols) + 1) * bands) - 1) / pg.rows
 
 type t = {
   costs : Costs.t;
@@ -99,6 +136,8 @@ type t = {
   bi_ns : float;
   bus_acc : float array;  (* per-rank accumulated bus interference *)
   (* --- streaming cell accumulators (active iff [sink] is set) --- *)
+  pg : Proc_grid.t;
+  logs : cell_log array;  (* closed cells, one log per row band *)
   cur_col : int array;  (* column being accumulated; -1 = none *)
   hi_col : int array;  (* highest column ever opened; -1 = none *)
   span_end : float array;  (* end of the rank's last span *)
@@ -130,41 +169,67 @@ let emit t ~rank ~name ~cat ~start args =
    contiguous traces this backend produces: per-rank spans partition
    [start, finish] with no gaps or overlaps, so a column's window runs
    from its first span's start to the next column's first span start,
-   idle is zero, and [other] is the exact remainder. One cell is emitted
-   per (rank, column) visit, on the transition to the next column. *)
-let close_cell t ~rank ~t_end =
+   idle is zero, and [other] is the exact remainder. One cell is closed
+   per (rank, column) visit, on the transition to the next column, into
+   the log of the rank's band. Called only with a sink attached, and
+   inlined so that [t_end] stays unboxed. *)
+let[@inline] close_cell t ~rank ~t_end =
   let col = t.cur_col.(rank) in
   if col >= 0 then begin
-    match t.sink with
-    | None -> ()
-    | Some sink ->
-        let t_start = t.col_start.(rank) in
-        let compute = t.acc_compute.(rank)
-        and send = t.acc_send.(rank)
-        and recv = t.acc_recv.(rank)
-        and wait = t.acc_wait.(rank) in
-        let other = t_end -. t_start -. compute -. send -. recv -. wait in
-        sink ~rank ~col
-          {
-            Obs.Timeline.t_start;
-            t_end;
-            compute;
-            send;
-            recv;
-            wait;
-            other;
-            idle = 0.0;
-            spans = t.acc_spans.(rank);
-          };
-        t.cur_col.(rank) <- -1;
-        t.acc_compute.(rank) <- 0.0;
-        t.acc_send.(rank) <- 0.0;
-        t.acc_recv.(rank) <- 0.0;
-        t.acc_wait.(rank) <- 0.0;
-        t.acc_spans.(rank) <- 0
+    let log = t.logs.(band_of t.pg ~bands:(Array.length t.logs) rank) in
+    if 3 * (log.n + 1) > Array.length log.ints then log_grow log;
+    let i = log.n in
+    log.n <- i + 1;
+    log.ints.(3 * i) <- rank;
+    log.ints.((3 * i) + 1) <- col;
+    log.ints.((3 * i) + 2) <- t.acc_spans.(rank);
+    let f = log.floats and o = 6 * i in
+    f.(o) <- t.col_start.(rank);
+    f.(o + 1) <- t_end;
+    f.(o + 2) <- t.acc_compute.(rank);
+    f.(o + 3) <- t.acc_send.(rank);
+    f.(o + 4) <- t.acc_recv.(rank);
+    f.(o + 5) <- t.acc_wait.(rank);
+    t.cur_col.(rank) <- -1;
+    t.acc_compute.(rank) <- 0.0;
+    t.acc_send.(rank) <- 0.0;
+    t.acc_recv.(rank) <- 0.0;
+    t.acc_wait.(rank) <- 0.0;
+    t.acc_spans.(rank) <- 0
   end
 
-let cell_note t ~rank ~col ~t0 ~dur ~bucket ~wait =
+(* Hand every logged cell to the sink, band by band, and empty the logs.
+   Runs on the calling domain only, between pool stages. *)
+let drain t =
+  match t.sink with
+  | None -> ()
+  | Some sink ->
+      Array.iter
+        (fun log ->
+          for i = 0 to log.n - 1 do
+            let f = log.floats and o = 6 * i in
+            let t_start = f.(o) and t_end = f.(o + 1) in
+            let compute = f.(o + 2)
+            and send = f.(o + 3)
+            and recv = f.(o + 4)
+            and wait = f.(o + 5) in
+            sink ~rank:log.ints.(3 * i) ~col:log.ints.((3 * i) + 1)
+              {
+                Obs.Timeline.t_start;
+                t_end;
+                compute;
+                send;
+                recv;
+                wait;
+                other = t_end -. t_start -. compute -. send -. recv -. wait;
+                idle = 0.0;
+                spans = log.ints.((3 * i) + 2);
+              }
+          done;
+          log.n <- 0)
+        t.logs
+
+let[@inline] cell_note t ~rank ~col ~t0 ~dur ~bucket ~wait =
   match t.sink with
   | None -> ()
   | Some _ ->
@@ -190,13 +255,14 @@ let cell_note t ~rank ~col ~t0 ~dur ~bucket ~wait =
    zero-width cell [of_spans] backfills at the rank's finish — the end
    of its last span, which for a rank stuck inside a staged halo is
    earlier than its clock (the uncovered send time a blocked fiber also
-   never surfaces as a span). *)
+   never surfaces as a span). Runs on the calling domain. *)
 let finish_cells t ~rank =
   match t.sink with
   | None -> ()
   | Some sink ->
       let now = t.span_end.(rank) in
       close_cell t ~rank ~t_end:now;
+      drain t;
       for col = t.hi_col.(rank) + 1 to t.cols do
         sink ~rank ~col (Obs.Timeline.zero_cell now)
       done
@@ -238,10 +304,12 @@ module Backend = struct
 
   let boundary _ ~rank:_ ~axis:_ ~h:_ = 0
 
-  (* The span arg lists (and the cell float boxing behind them) are only
-     built when a tracer or cell sink is attached; the bare simulation
-     path is clock arithmetic on flat arrays alone. *)
-  let observed t = t.tracer != None || t.sink != None
+  (* The bare simulation path is clock arithmetic on flat arrays alone:
+     the wave index and the inlined cell bookkeeping only run when a
+     tracer or cell sink is attached, and the span arg lists only when
+     a tracer is. *)
+  let traced t = t.tracer != None
+  let observed t = traced t || t.sink != None
 
   let link_onchip t ~rank ~peer ~axis2 =
     Char.code
@@ -266,13 +334,14 @@ module Backend = struct
       t.bus_acc.(rank) +. (if axis2 = 0 then t.bi_ew else t.bi_ns);
     if observed t then begin
       let w = wave t ~rank ~tile in
-      emit t ~rank ~name:"recv" ~cat:"comm" ~start:t0
-        [
-          ("src", Obs.Span.Int src);
-          ("size", Obs.Span.Int bytes);
-          ("wait", Obs.Span.Float wait);
-          (Obs.Timeline.wave_arg, Obs.Span.Int w);
-        ];
+      if traced t then
+        emit t ~rank ~name:"recv" ~cat:"comm" ~start:t0
+          [
+            ("src", Obs.Span.Int src);
+            ("size", Obs.Span.Int bytes);
+            ("wait", Obs.Span.Float wait);
+            (Obs.Timeline.wave_arg, Obs.Span.Int w);
+          ];
       cell_note t ~rank ~col:w ~t0 ~dur:(t.clock.(rank) -. t0) ~bucket:Brecv
         ~wait
     end;
@@ -296,13 +365,14 @@ module Backend = struct
       t.bus_acc.(rank) +. (if axis2 = 0 then t.bi_ew else t.bi_ns);
     if observed t then begin
       let w = wave t ~rank ~tile in
-      emit t ~rank ~name:"send" ~cat:"comm" ~start:t0
-        [
-          ("dst", Obs.Span.Int dst);
-          ("size", Obs.Span.Int bytes);
-          ("wait", Obs.Span.Float 0.0);
-          (Obs.Timeline.wave_arg, Obs.Span.Int w);
-        ];
+      if traced t then
+        emit t ~rank ~name:"send" ~cat:"comm" ~start:t0
+          [
+            ("dst", Obs.Span.Int dst);
+            ("size", Obs.Span.Int bytes);
+            ("wait", Obs.Span.Float 0.0);
+            (Obs.Timeline.wave_arg, Obs.Span.Int w);
+          ];
       cell_note t ~rank ~col:w ~t0 ~dur:(t.clock.(rank) -. t0) ~bucket:Bsend
         ~wait:0.0
     end
@@ -319,7 +389,8 @@ module Backend = struct
     t.clock.(rank) <- t0 +. work;
     if observed t then begin
       let w = wave t ~rank ~tile in
-      emit t ~rank ~name:"compute" ~cat:"compute" ~start:t0 (wave_args w);
+      if traced t then
+        emit t ~rank ~name:"compute" ~cat:"compute" ~start:t0 (wave_args w);
       cell_note t ~rank ~col:w ~t0 ~dur:work ~bucket:Bcompute ~wait:0.0
     end;
     (match t.model with
@@ -336,8 +407,9 @@ module Backend = struct
       t.clock.(rank) <- t0 +. d;
       if observed t then begin
         let w = wave t ~rank ~tile in
-        emit t ~rank ~name:"precompute" ~cat:"compute" ~start:t0
-          (wave_args w);
+        if traced t then
+          emit t ~rank ~name:"precompute" ~cat:"compute" ~start:t0
+            (wave_args w);
         cell_note t ~rank ~col:w ~t0 ~dur:d ~bucket:Bcompute ~wait:0.0
       end
     end
@@ -532,7 +604,7 @@ let substrate : (t, int) Substrate.s = (module Backend)
 (* Build the flat engine state for one program configuration; shared by
    [run] and the [Steady] telemetry probe so both exercise the identical
    hot-path caches. *)
-let make_state ~perturb ~recover ~obs ~cells ~costs pg
+let make_state ~perturb ~recover ~obs ~cells ~bands ~costs pg
     (cfg : Program.config) =
   let ranks = Proc_grid.cores pg in
   let rows = pg.Proc_grid.rows and cols = pg.Proc_grid.cols in
@@ -600,6 +672,8 @@ let make_state ~perturb ~recover ~obs ~cells ~costs pg
     bi_ew;
     bi_ns;
     bus_acc = Array.make ranks 0.0;
+    pg;
+    logs = Array.init bands (fun _ -> log_create ());
     cur_col = Array.make ranks (-1);
     hi_col = Array.make ranks (-1);
     span_end = Array.make ranks 0.0;
@@ -626,10 +700,10 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let domains = min domains rows in
   let ntiles = cfg.Program.tiling.Program.ntiles in
   let sweeps = Sweeps.Schedule.sweeps cfg.Program.schedule in
-  let t = make_state ~perturb ~recover ~obs ~cells ~costs pg cfg in
-  (* Row bands: domain k owns 0-based rows [k*rows/domains,
-     (k+1)*rows/domains), i.e. the contiguous rank range [band k]. *)
-  let band k = (k * rows / domains * cols, (k + 1) * rows / domains * cols) in
+  let t =
+    make_state ~perturb ~recover ~obs ~cells ~bands:domains ~costs pg cfg
+  in
+  let band = band_range pg ~bands:domains in
   (* Per-(flow, domain) diagonal schedules, built lazily on the main
      domain (at most 4 distinct flows per schedule). *)
   let schedules = Hashtbl.create 4 in
@@ -648,6 +722,12 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
         s
   in
   let pool = Pool.create domains in
+  (* Every stage ends with the calling domain draining the cells the
+     bands closed during it. *)
+  let stage f =
+    Pool.run pool f;
+    drain t
+  in
   let alive rank = match t.status.(rank) with Alive -> true | _ -> false in
   (* One rank, one sweep segment: the whole tile loop of sweep [s],
      epilogue and finish excluded. *)
@@ -662,7 +742,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     | Perturb.Model.Killed { rank; _ } -> t.status.(rank) <- Failed
   in
   let each_banded f =
-    Pool.run pool (fun k ->
+    stage (fun k ->
         let lo, hi = band k in
         for rank = lo to hi - 1 do
           f rank
@@ -718,9 +798,10 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           if (not !stuck) && (dst rank <> None || src_of rank <> None)
           then begin
             let t0 = t.eop_t0.(rank) in
-            emit t ~rank ~name:"halo" ~cat:"comm" ~start:t0
-              (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
-              :: epilogue_args);
+            if Backend.traced t then
+              emit t ~rank ~name:"halo" ~cat:"comm" ~start:t0
+                (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
+                :: epilogue_args);
             cell_note t ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
               ~bucket:Bother ~wait:0.0
           end
@@ -748,7 +829,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
          associative, commutative float fold, so the per-domain partial
          maxima combine identically for every domain count. *)
       let partial = Array.make domains neg_infinity in
-      Pool.run pool (fun k ->
+      stage (fun k ->
           let lo, hi = band k in
           let m = ref neg_infinity in
           for rank = lo to hi - 1 do
@@ -760,9 +841,10 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           if alive rank then begin
             let t0 = t.eop_t0.(rank) in
             t.clock.(rank) <- release +. (float_of_int count *. cost);
-            emit t ~rank ~name ~cat:"comm" ~start:t0
-              (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
-              :: epilogue_args);
+            if Backend.traced t then
+              emit t ~rank ~name ~cat:"comm" ~start:t0
+                (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
+                :: epilogue_args);
             cell_note t ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
               ~bucket:Bother ~wait:0.0
           end)
@@ -772,6 +854,18 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     match cfg.Program.nonwavefront with
     | Wavefront_core.App_params.No_op -> ()
     | _ ->
+        (* Close each live rank's last wavefront cell here, on the
+           calling domain in rank order: it ends at the rank's clock,
+           where its first epilogue span starts. Closed by that span
+           inside a pass instead, one cell per rank would pile up in the
+           logs before the drain. *)
+        if t.sink != None then
+          for rank = 0 to ranks - 1 do
+            if alive rank then begin
+              close_cell t ~rank ~t_end:t.clock.(rank);
+              drain t
+            end
+          done;
         t.recording <- true;
         each_banded (fun rank ->
             if alive rank then begin
@@ -824,7 +918,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
         List.iteri
           (fun s sw ->
             (* Reset the sweep's delivery slots before any send. *)
-            Pool.run pool (fun k ->
+            stage (fun k ->
                 let lo, hi = band k in
                 Array.fill t.dlv_x (lo * ntiles) ((hi - lo) * ntiles) nan;
                 Array.fill t.dlv_y (lo * ntiles) ((hi - lo) * ntiles) nan);
@@ -832,7 +926,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
             let sched = schedule_for (dx, dy) in
             let ndiag, _, _ = sched.(0) in
             for d = 0 to ndiag - 1 do
-              Pool.run pool (fun k ->
+              stage (fun k ->
                   let _, perm, offsets = sched.(k) in
                   for idx = offsets.(d) to offsets.(d + 1) - 1 do
                     let rank = perm.(idx) in
@@ -842,15 +936,16 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           sweeps;
         run_epilogue ~iter
       done;
-      (* Completion: finish clocks for ranks that ran the whole program,
-         cell flush for everyone. *)
-      each_banded (fun rank ->
-          (match t.status.(rank) with
-          | Alive ->
-              Backend.finish t ~rank;
-              t.status.(rank) <- Done
-          | _ -> ());
-          finish_cells t ~rank));
+      (* Completion, on the calling domain in rank order: finish clocks
+         for ranks that ran the whole program, cell flush for everyone. *)
+      for rank = 0 to ranks - 1 do
+        (match t.status.(rank) with
+        | Alive ->
+            Backend.finish t ~rank;
+            t.status.(rank) <- Done
+        | _ -> ());
+        finish_cells t ~rank
+      done);
   (* --- outcome --- *)
   let blocked = ref [] and failed = ref [] in
   for rank = ranks - 1 downto 0 do
@@ -975,8 +1070,8 @@ module Steady = struct
       invalid_arg "Batched.Steady.probe: the grid must be at least 3x3";
     let cfg = Program.of_app pg app in
     let state =
-      make_state ~perturb:None ~recover:None ~obs:None ~cells:None ~costs
-        pg cfg
+      make_state ~perturb:None ~recover:None ~obs:None ~cells:None ~bands:1
+        ~costs pg cfg
     in
     let rank = Proc_grid.rank pg ((cols / 2) + 1, (rows / 2) + 1) in
     {

@@ -26,9 +26,9 @@ type cell_sink = rank:int -> col:int -> Obs.Timeline.cell -> unit
     time, ranks interleave). Column [waves] is the epilogue. A column
     visited by more than one iteration produces one cell per visit:
     totals are additive and windows union — [Obs.Timeline_stream] folds
-    them accordingly. With [domains > 1] the sink must be thread-safe
-    for calls on distinct ranks (per-rank state needs no locking: one
-    rank is only ever touched by its owning domain). *)
+    them accordingly. The sink is only ever called on the domain that
+    called {!run}, one cell at a time, in the order a 1-domain run
+    produces, whatever [domains] is: it needs no synchronization. *)
 
 type status = Alive | Done | Failed | Blocked_recv of int | Blocked_coll
 
@@ -72,7 +72,10 @@ val run :
     each rank's perturbation stream is its own. [obs] attaches a span
     tracer (requires [domains = 1]: the tracer is not thread-safe;
     raises [Invalid_argument] otherwise); [cells] streams timeline
-    cells. Raises [Invalid_argument] for [domains < 1].
+    cells. The stream is domain-independent too: the same cells reach
+    [cells] in the same order for every domain count, so a fold that
+    sums floats, such as [Obs.Timeline_stream]'s, gives the same bits.
+    Raises [Invalid_argument] for [domains < 1].
 
     When [costs] carries the multi-core bus layer
     ({!Costs.loggp}[ ~model_bus:true] on a multi-core {!Wgrid.Cmp.t}),

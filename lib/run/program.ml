@@ -134,7 +134,11 @@ let run_rank (type st p) ?(from = Substrate.start_position) ?until
     ((module S) : (st, p) Substrate.s) (s : st) cfg rank =
   let pg = cfg.pg in
   let i, j = Proc_grid.coords pg rank in
-  let has p = Proc_grid.contains pg p in
+  (* The rank of the neighbour at offset (di, dj), or -1 off the grid. *)
+  let neighbour di dj =
+    let p = (i + di, j + dj) in
+    if Proc_grid.contains pg p then Proc_grid.rank pg p else -1
+  in
   let sweeps = Sweeps.Schedule.sweeps cfg.schedule in
   let nsweeps = List.length sweeps in
   if
@@ -157,8 +161,9 @@ let run_rank (type st p) ?(from = Substrate.start_position) ?until
           && runs { iteration = iter; sweep = sweep_idx; tile = tile0 }
         then begin
         let (dx, dy, _) as dir = flow pg sw in
-        let up_x = (i - dx, j) and up_y = (i, j - dy) in
-        let down_x = (i + dx, j) and down_y = (i, j + dy) in
+        (* Resolved once per sweep, not per tile. *)
+        let src_x = neighbour (-dx) 0 and src_y = neighbour 0 (-dy) in
+        let dst_x = neighbour dx 0 and dst_y = neighbour 0 dy in
         let wave_base =
           (((iter - 1) * nsweeps) + sweep_idx) * cfg.tiling.ntiles
         in
@@ -174,22 +179,18 @@ let run_rank (type st p) ?(from = Substrate.start_position) ?until
              receives; Sweep3D and Chimaera have Wg_pre = 0. *)
           S.precompute s ~rank ~tile;
           let x =
-            if has up_x then
-              S.recv s ~rank ~src:(Proc_grid.rank pg up_x) ~axis:X ~tile ~h
-                ~bytes:cfg.msg_ew
+            if src_x >= 0 then
+              S.recv s ~rank ~src:src_x ~axis:X ~tile ~h ~bytes:cfg.msg_ew
             else S.boundary s ~rank ~axis:X ~h
           in
           let y =
-            if has up_y then
-              S.recv s ~rank ~src:(Proc_grid.rank pg up_y) ~axis:Y ~tile ~h
-                ~bytes:cfg.msg_ns
+            if src_y >= 0 then
+              S.recv s ~rank ~src:src_y ~axis:Y ~tile ~h ~bytes:cfg.msg_ns
             else S.boundary s ~rank ~axis:Y ~h
           in
           let out_x, out_y = S.compute s ~rank ~dir ~tile ~h ~x ~y in
-          if has down_x then
-            S.send s ~rank ~dst:(Proc_grid.rank pg down_x) ~axis:X ~tile out_x;
-          if has down_y then
-            S.send s ~rank ~dst:(Proc_grid.rank pg down_y) ~axis:Y ~tile out_y
+          if dst_x >= 0 then S.send s ~rank ~dst:dst_x ~axis:X ~tile out_x;
+          if dst_y >= 0 then S.send s ~rank ~dst:dst_y ~axis:Y ~tile out_y
           end
         done
         end)

@@ -240,6 +240,88 @@ let test_domain_determinism () =
   check_spec "zero spec" None;
   check_spec "perturbed" (Some (spec "seed=3 pulse=3:40:500 straggler=2:100"))
 
+(* The sink runs on the calling domain, in the order of a 1-domain run,
+   so the streamed fold's float sums depend neither on the domain count
+   nor on how the domains were scheduled. A 7x5 grid splits unevenly
+   into 2 and 3 row bands; the bus is on, the run has 2 iterations, and
+   the spec mixes straggler, link and collective noise — once under a
+   recovery policy, once with an unrecovered kill whose stuck ranks are
+   padded with zero-width cells. Each 2-domain case runs twice. *)
+let test_stream_domain_determinism () =
+  let pg = Proc_grid.of_cores 35 in
+  let app = sweep 12 in
+  let costs =
+    Wrun.Costs.loggp ~model_bus:true ~cmp:(Cmp.of_cores_per_node 2) xt4 pg
+      app
+  in
+  let waves =
+    Sweeps.Schedule.nsweeps app.schedule
+    * Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
+  in
+  let perturb =
+    spec "seed=5 straggler=3:120 link=0.05:7 collnoise=40 fail=9:20"
+  in
+  let streamed ?recover domains =
+    let full = Obs.Timeline_stream.create ~ranks:35 ~waves () in
+    let coarse =
+      Obs.Timeline_stream.create ~max_rank_buckets:4 ~max_wave_buckets:8
+        ~ranks:35 ~waves ()
+    in
+    let cells ~rank ~col c =
+      Obs.Timeline_stream.sink full ~rank ~col c;
+      Obs.Timeline_stream.sink coarse ~rank ~col c
+    in
+    let o =
+      Wrun.Batched.run ~iterations:2 ~perturb ?recover ~cells ~domains ~costs
+        pg app
+    in
+    (o, [ full; coarse ])
+  in
+  let metrics =
+    Obs.Timeline.[ Compute; Send; Recv; Wait; Idle; Busy; Total ]
+  in
+  let check_case name ?recover expect =
+    let o1, s1 = streamed ?recover 1 in
+    expect o1;
+    List.iter
+      (fun domains ->
+        let od, sd = streamed ?recover domains in
+        let what fmt = Printf.sprintf ("%s, %d domains: " ^^ fmt) name domains in
+        Alcotest.(check int64) (what "elapsed bits")
+          (Int64.bits_of_float o1.elapsed)
+          (Int64.bits_of_float od.elapsed);
+        List.iter2
+          (fun a b ->
+            Alcotest.(check int) (what "cells folded")
+              (Obs.Timeline_stream.cells a)
+              (Obs.Timeline_stream.cells b);
+            Alcotest.(check bool) (what "bucket timeline bitwise-equal") true
+              (Obs.Timeline.equal ~tol:0.0
+                 (Obs.Timeline_stream.to_timeline a)
+                 (Obs.Timeline_stream.to_timeline b));
+            for col = 0 to waves do
+              List.iter
+                (fun m ->
+                  Alcotest.(check int64) (what "column %d total bits" col)
+                    (Int64.bits_of_float
+                       (Obs.Timeline_stream.column_total a m col))
+                    (Int64.bits_of_float
+                       (Obs.Timeline_stream.column_total b m col)))
+                metrics
+            done)
+          s1 sd)
+      [ 2; 2; 3 ]
+  in
+  check_case "recovered"
+    ~recover:
+      { Perturb.Recover.interval = 8; ckpt_cost = 25.0; restart_cost = 400.0 }
+    (fun o ->
+      Alcotest.(check (list int)) "the killed rank recovers" [ 9 ] o.recovered;
+      Alcotest.(check bool) "the recovered run completes" true o.completed);
+  check_case "killed" (fun o ->
+      Alcotest.(check (list int)) "the killed rank stays dead" [ 9 ] o.failed;
+      Alcotest.(check bool) "ranks are left stuck" true (o.blocked <> []))
+
 (* --- The event engine's structured rank ceiling --- *)
 
 let test_rank_ceiling () =
@@ -589,6 +671,8 @@ let suite =
       [
         Alcotest.test_case "bitwise determinism across domain counts" `Quick
           test_domain_determinism;
+        Alcotest.test_case "streamed cells bitwise-equal across domains" `Quick
+          test_stream_domain_determinism;
       ] );
     ( "batched.scale",
       [
