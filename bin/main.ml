@@ -1329,13 +1329,15 @@ type alloc_target = {
           measured window and returns the unit of work *)
 }
 
-(* Measured at 362,010 minor words per 256-rank sweep3d run (32,768
-   rank-tiles). Of that, 131,072 are the tile loop's 4-word position
-   record; the rest is per-segment resume positions and flow tuples,
-   and setup. The ratchet pins 450k (24% headroom): rebuilding the four
-   neighbour-coordinate tuples per tile measures 709,464 and trips it,
-   and per-op boxing on this grid would add millions of words. *)
-let batched_run_budget = 450_000.0
+(* Measured at 31,490 minor words per 256-rank sweep3d run (32,768
+   rank-tiles in 2,048 rank-sweep segments), all of it set-up and
+   per-stage: the per-link locality probe (17,666), the per-rank state
+   arrays, one closure per pool stage and the epilogue's op queues. The
+   tile loop and the segments allocate nothing. The ratchet pins 40k
+   (27% headroom): a 4-word position record per tile adds 131,072 words
+   and trips it, as do resume positions, flow tuples or closures built
+   per segment, and per-op boxing would add millions of words. *)
+let batched_run_budget = 40_000.0
 
 (* The setup both full-run targets share: Sweep3D 32^3 on 256 ranks,
    single-core nodes, bus off. *)
@@ -1349,12 +1351,14 @@ let batched_run_setup () =
   (app, pg, costs)
 
 (* The same run streaming into a [Timeline_stream] sink, measured at
-   1,157,682 minor words: the [batched-run] words plus one 24-word cell
-   record (boxed float fields) per (rank, column), 33,024 of them. The
-   ratchet pins 1.4M (21% headroom): building span argument lists
-   without a tracer, or boxing the per-op cell bookkeeping's floats,
-   measures 6,437,728 and trips it. *)
-let batched_stream_budget = 1_400_000.0
+   31,497 minor words: the 33,024 cells (one per (rank, column)) reach
+   the sink in flat per-lane batches and are folded in place, so the
+   stream adds nothing per cell to the [batched-run] words. The ratchet
+   pins 40k (27% headroom): a cell record per (rank, column) adds 24
+   words a cell (792,576) and trips it, as does a logging helper that
+   boxes a cell's six floats (12 words a cell), building span argument
+   lists without a tracer, or boxing the per-op cell bookkeeping. *)
+let batched_stream_budget = 40_000.0
 
 let alloc_targets =
   [

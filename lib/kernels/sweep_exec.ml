@@ -204,7 +204,7 @@ module Backend = struct
        snapshot everything the tile loop carries — accumulated phi, the
        sweep's tile-to-tile state (z-face + plane cursor), and the channel
        marks — then release the senders' logs the snapshot covers. *)
-    let tile_begin t ~rank ~pos ~wave =
+    let tile_begin t ~rank ~iteration ~sweep ~tile ~wave =
       match t.recover with
       | None -> ()
       | Some rc ->
@@ -223,7 +223,7 @@ module Backend = struct
                   rank;
                   version = rc.version;
                   wave;
-                  position = pos;
+                  position = { iteration; sweep; tile };
                   phi = Array.copy t.phi;
                   zbuf = Transport.mark_zbuf mark;
                   zpos = Transport.mark_pos mark;

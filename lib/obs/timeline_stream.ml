@@ -1,21 +1,23 @@
 (* Bounded-memory streaming fold of timeline cells.
 
    The batched engine visits each (rank, column) once per iteration and
-   emits the finished cell; at a million ranks the dense
-   [Timeline.of_spans] grid is out of reach, so this accumulator folds
-   the stream into (a) a rank-bucketized, wave-bucketized heatmap grid
-   whose bucket means are exactly what [Timeline.render] would have
-   displayed of the dense grid, and (b) exact full-resolution per-column
-   totals (the wave axis is short — sums over a bucket's member ranks
-   are exact even though its mean cell is a summary). Memory is
-   O(rank_buckets * col_buckets + waves), independent of the rank
-   count.
+   hands the finished cells over in flat batches ([Cell_batch]); at a
+   million ranks the dense [Timeline.of_spans] grid is out of reach, so
+   this accumulator folds the stream into (a) a rank-bucketized,
+   wave-bucketized heatmap grid whose bucket means are exactly what
+   [Timeline.render] would have displayed of the dense grid, and (b)
+   exact full-resolution per-column totals (the wave axis is short —
+   sums over a bucket's member ranks are exact even though its mean cell
+   is a summary). Memory is O(rank_buckets * col_buckets + waves),
+   independent of the rank count.
 
-   Cells for the same (rank, column) across iterations merge additively
-   with window union — the producer's contract. The fold is not
-   synchronized: the batched engine calls the sink on its calling domain
-   only, in the order of a 1-domain run, whatever its domain count, so
-   the float sums come out bitwise identical for every domain count. *)
+   A batch is folded in place, cell by cell, with no record built per
+   cell. Cells for the same (rank, column) across iterations merge
+   additively with window union — the producer's contract. The fold is
+   not synchronized: the batched engine calls the sink on its calling
+   domain only, in the order of a 1-domain run, whatever its domain
+   count, so the float sums come out bitwise identical for every domain
+   count. *)
 
 (* The bucket grid interleaves each bucket's fields, so folding a cell
    touches one bucket's two cache lines rather than one line in each of
@@ -38,9 +40,11 @@ type t = {
   wave_buckets : int;  (* heatmap wavefront columns (epilogue extra) *)
   (* bucket grid, bucket [i = rb * (wave_buckets + 1) + cb]: per-metric
      sums and the window envelope at [grid.(stride * i + f)] for each
-     field offset [f] (the envelope is set by the bucket's first
-     member), span and member counts at [counts.(2 * i)] and
-     [counts.(2 * i + 1)] *)
+     field offset [f], span and member counts at [counts.(2 * i)] and
+     [counts.(2 * i + 1)]. The grid is not initialized: a bucket's
+     fields are set by its first member (a sum as [0.0 +. x], bitwise
+     what adding to a zeroed field gives), and readers skip buckets
+     with no members. *)
   grid : float array;
   counts : int array;
   (* exact per-column totals, index [col] with [waves] = epilogue *)
@@ -49,7 +53,6 @@ type t = {
   col_recv : float array;
   col_wait : float array;
   col_other : float array;
-  col_idle : float array;
   col_width : float array;
   col_cells : int array;
   (* per-rank-bucket run envelope *)
@@ -69,14 +72,13 @@ let create ?(max_rank_buckets = 512) ?(max_wave_buckets = 256) ~ranks ~waves
     waves;
     rank_buckets;
     wave_buckets;
-    grid = Array.make (stride * ncells) 0.0;
+    grid = Array.create_float (stride * ncells);
     counts = Array.make (2 * ncells) 0;
     col_compute = Array.make (waves + 1) 0.0;
     col_send = Array.make (waves + 1) 0.0;
     col_recv = Array.make (waves + 1) 0.0;
     col_wait = Array.make (waves + 1) 0.0;
     col_other = Array.make (waves + 1) 0.0;
-    col_idle = Array.make (waves + 1) 0.0;
     col_width = Array.make (waves + 1) 0.0;
     col_cells = Array.make (waves + 1) 0;
     b_start = Array.make rank_buckets infinity;
@@ -107,35 +109,55 @@ let wave_bucket_bounds t cb =
     (lo, hi)
   end
 
-let sink t ~rank ~col (c : Timeline.cell) =
-  if rank < 0 || rank >= t.ranks || col < 0 || col > t.waves then
-    invalid_arg "Timeline_stream.sink: cell out of range";
-  let width = c.t_end -. c.t_start in
-  let rb = rank_bucket t rank in
-  let i = (rb * (t.wave_buckets + 1)) + wave_bucket t col in
-  let n = t.counts.((2 * i) + 1) in
-  t.counts.(2 * i) <- t.counts.(2 * i) + c.spans;
-  t.counts.((2 * i) + 1) <- n + 1;
-  let g = t.grid and o = stride * i in
-  g.(o + f_compute) <- g.(o + f_compute) +. c.compute;
-  g.(o + f_send) <- g.(o + f_send) +. c.send;
-  g.(o + f_recv) <- g.(o + f_recv) +. c.recv;
-  g.(o + f_wait) <- g.(o + f_wait) +. c.wait;
-  g.(o + f_other) <- g.(o + f_other) +. c.other;
-  g.(o + f_idle) <- g.(o + f_idle) +. c.idle;
-  if n = 0 || c.t_start < g.(o + f_tmin) then g.(o + f_tmin) <- c.t_start;
-  if n = 0 || c.t_end > g.(o + f_tmax) then g.(o + f_tmax) <- c.t_end;
-  t.col_compute.(col) <- t.col_compute.(col) +. c.compute;
-  t.col_send.(col) <- t.col_send.(col) +. c.send;
-  t.col_recv.(col) <- t.col_recv.(col) +. c.recv;
-  t.col_wait.(col) <- t.col_wait.(col) +. c.wait;
-  t.col_other.(col) <- t.col_other.(col) +. c.other;
-  t.col_idle.(col) <- t.col_idle.(col) +. c.idle;
-  t.col_width.(col) <- t.col_width.(col) +. width;
-  t.col_cells.(col) <- t.col_cells.(col) + 1;
-  if c.t_start < t.b_start.(rb) then t.b_start.(rb) <- c.t_start;
-  if c.t_end > t.b_finish.(rb) then t.b_finish.(rb) <- c.t_end;
-  t.cells <- t.cells + 1
+(* The cells' idle time is 0 ([Cell_batch]), so the idle sums stay 0
+   and are not accumulated. *)
+let sink t (b : Cell_batch.t) =
+  let ints = b.ints and fl = b.floats and g = t.grid in
+  for c = 0 to b.n - 1 do
+    let rank = ints.(3 * c) and col = ints.((3 * c) + 1) in
+    if rank < 0 || rank >= t.ranks || col < 0 || col > t.waves then
+      invalid_arg "Timeline_stream.sink: cell out of range";
+    let spans = ints.((3 * c) + 2) and f = 6 * c in
+    let t_start = fl.(f) and t_end = fl.(f + 1) in
+    let compute = fl.(f + 2) and send = fl.(f + 3) in
+    let recv = fl.(f + 4) and wait = fl.(f + 5) in
+    let other = t_end -. t_start -. compute -. send -. recv -. wait in
+    let rb = rank_bucket t rank in
+    let i = (rb * (t.wave_buckets + 1)) + wave_bucket t col in
+    let n = t.counts.((2 * i) + 1) and o = stride * i in
+    t.counts.((2 * i) + 1) <- n + 1;
+    if n = 0 then begin
+      t.counts.(2 * i) <- spans;
+      g.(o + f_compute) <- 0.0 +. compute;
+      g.(o + f_send) <- 0.0 +. send;
+      g.(o + f_recv) <- 0.0 +. recv;
+      g.(o + f_wait) <- 0.0 +. wait;
+      g.(o + f_other) <- 0.0 +. other;
+      g.(o + f_idle) <- 0.0;
+      g.(o + f_tmin) <- t_start;
+      g.(o + f_tmax) <- t_end
+    end
+    else begin
+      t.counts.(2 * i) <- t.counts.(2 * i) + spans;
+      g.(o + f_compute) <- g.(o + f_compute) +. compute;
+      g.(o + f_send) <- g.(o + f_send) +. send;
+      g.(o + f_recv) <- g.(o + f_recv) +. recv;
+      g.(o + f_wait) <- g.(o + f_wait) +. wait;
+      g.(o + f_other) <- g.(o + f_other) +. other;
+      if t_start < g.(o + f_tmin) then g.(o + f_tmin) <- t_start;
+      if t_end > g.(o + f_tmax) then g.(o + f_tmax) <- t_end
+    end;
+    t.col_compute.(col) <- t.col_compute.(col) +. compute;
+    t.col_send.(col) <- t.col_send.(col) +. send;
+    t.col_recv.(col) <- t.col_recv.(col) +. recv;
+    t.col_wait.(col) <- t.col_wait.(col) +. wait;
+    t.col_other.(col) <- t.col_other.(col) +. other;
+    t.col_width.(col) <- t.col_width.(col) +. (t_end -. t_start);
+    t.col_cells.(col) <- t.col_cells.(col) + 1;
+    if t_start < t.b_start.(rb) then t.b_start.(rb) <- t_start;
+    if t_end > t.b_finish.(rb) then t.b_finish.(rb) <- t_end
+  done;
+  t.cells <- t.cells + b.n
 
 let gf t i f = t.grid.((stride * i) + f)
 let spans_of t i = t.counts.(2 * i)
@@ -153,7 +175,7 @@ let column_total t (m : Timeline.metric) col =
   | Send -> t.col_send.(col)
   | Recv -> t.col_recv.(col)
   | Wait -> t.col_wait.(col)
-  | Idle -> t.col_idle.(col)
+  | Idle -> 0.0
   | Busy ->
       t.col_compute.(col) +. t.col_send.(col) +. t.col_recv.(col)
       +. t.col_other.(col)
@@ -305,7 +327,7 @@ let emit_json ?(label = "") t out =
          (if col = t.waves then -1 else col)
          t.col_cells.(col) t.col_compute.(col) t.col_send.(col)
          t.col_recv.(col) t.col_wait.(col) t.col_other.(col)
-         t.col_idle.(col) t.col_width.(col))
+         (column_total t Idle col) t.col_width.(col))
   done;
   Buffer.add_string b "]}";
   out (Buffer.contents b)

@@ -1,16 +1,18 @@
 (** Bounded-memory streaming fold of timeline cells.
 
-    The batched engine emits one finished {!Timeline.cell} per
-    (rank, column) visit; at large rank counts the dense per-rank grid
-    is out of reach, so this accumulator folds the stream into a
+    The batched engine hands over its finished cells — one per
+    (rank, column) visit — in flat {!Cell_batch.t} batches; at large
+    rank counts the dense per-rank grid is out of reach, so this
+    accumulator folds the stream, batch by batch and in place, into a
     rank- and wave-bucketized heatmap grid (bucket means — what
     {!Timeline.render} would have displayed of the dense grid) plus
     exact full-resolution per-column totals. Memory is
     O(rank_buckets * wave_buckets + waves), independent of the rank
-    count. The fold is not synchronized: call the sink from one domain
-    at a time. The batched engine calls it on its calling domain only,
-    in the order of a 1-domain run, so a multi-domain run folds to the
-    same bits. *)
+    count, and the grid is left uninitialized until a bucket's first
+    member arrives. The fold is not synchronized: call the sink from one
+    domain at a time. The batched engine calls it on its calling domain
+    only, in the order of a 1-domain run, so a multi-domain run folds to
+    the same bits. *)
 
 type t
 
@@ -26,12 +28,13 @@ val create :
     implied). Bucket counts are clamped to the actual extents; defaults
     512 rank buckets x 256 wave buckets. *)
 
-val sink : t -> rank:int -> col:int -> Timeline.cell -> unit
-(** The engine-facing cell sink ([Batched.cell_sink]-shaped). Column
-    [waves] is the epilogue. Repeat visits to one (rank, column) fold
-    additively (totals add, windows union) — the producer's
-    multi-iteration contract. Raises [Invalid_argument] on an
-    out-of-range cell. *)
+val sink : t -> Cell_batch.t -> unit
+(** The engine-facing cell sink ([Batched.cell_sink]-shaped): fold every
+    cell of the batch, in batch order. Column [waves] is the epilogue.
+    Repeat visits to one (rank, column) fold additively (totals add,
+    windows union) — the producer's multi-iteration contract. A batch's
+    cells have no idle time, so the [Idle] totals are 0. Raises
+    [Invalid_argument] on an out-of-range cell. *)
 
 val cells : t -> int
 (** Cells folded so far. *)

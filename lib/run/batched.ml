@@ -15,17 +15,20 @@
    was never sent (the batched reading of a blocking receive that never
    returns).
 
-   Ranks are sharded across OCaml 5 domains by contiguous row bands of
-   the torus; domains synchronize only at diagonal boundaries (and at
-   the staged epilogue passes). Every rank's floats depend only on its
-   own perturbation streams and upstream slot values, and collective
+   Ranks are sharded across OCaml 5 domains stage by stage. A wavefront
+   stage splits its anti-diagonal into one contiguous chunk per domain,
+   of near-equal size and in ascending rank order, so every domain has
+   work for as long as the diagonal has ranks to spare; an epilogue
+   pass splits the ranks into contiguous row bands. Domains synchronize
+   only at stage boundaries. Every rank's floats depend only on its own
+   perturbation streams and upstream slot values, and collective
    release points are float maxima (associative, order-independent), so
    a run is bitwise identical across domain counts. So is its cell
-   stream: a domain appends the cells its band closes to the band's own
-   flat log, and after every stage the calling domain drains the logs
-   in band order into the sink. Within a stage the bands hold ascending
-   rank ranges, so the sink sees the exact order of a 1-domain run, on
-   one domain, and needs no lock.
+   stream: chunk (or band) k of a stage — lane k — appends the cells it
+   closes to lane k's flat log, and after every stage the calling
+   domain hands the logs to the sink in lane order. Lanes hold
+   ascending rank ranges, so the sink sees the exact order of a
+   1-domain run, on one domain, and needs no lock.
 
    The epilogue (non-wavefront section) has cross-rank operations with
    no static rank order, so it is staged: each rank's epilogue is first
@@ -43,7 +46,7 @@
 
 open Wgrid
 
-type cell_sink = rank:int -> col:int -> Obs.Timeline.cell -> unit
+type cell_sink = Obs.Cell_batch.t -> unit
 
 (* Raised internally when a rank reads a delivery slot that was never
    written: its upstream died (or got stuck) before sending. *)
@@ -59,37 +62,11 @@ type eop =
 
 type bucket = Bcompute | Bsend | Brecv | Bother
 
-(* The cells one row band closed during a stage, flat so that logging
-   allocates nothing once the arrays have grown: per cell, (rank, col,
-   spans) in [ints] and (t_start, t_end, compute, send, recv, wait) in
-   [floats]. Only the band's domain appends; only the calling domain
-   drains, between stages. *)
-type cell_log = {
-  mutable n : int;
-  mutable ints : int array;
-  mutable floats : float array;
-}
-
-let log_create () =
-  { n = 0; ints = Array.make (3 * 64) 0; floats = Array.make (6 * 64) 0.0 }
-
-let log_grow log =
-  let grow a fill =
-    let b = Array.make (2 * Array.length a) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  log.ints <- grow log.ints 0;
-  log.floats <- grow log.floats 0.0
-
-(* Row bands: of [bands] domains, domain k owns the 0-based processor
-   rows [k*rows/bands, (k+1)*rows/bands), i.e. the contiguous rank range
-   [band_range pg ~bands k]; [band_of] is its inverse. *)
+(* Row bands, for the epilogue passes: of [bands] domains, domain k
+   owns the 0-based processor rows [k*rows/bands, (k+1)*rows/bands),
+   i.e. the contiguous rank range [band_range pg ~bands k]. *)
 let band_range (pg : Proc_grid.t) ~bands k =
   (k * pg.rows / bands * pg.cols, (k + 1) * pg.rows / bands * pg.cols)
-
-let band_of (pg : Proc_grid.t) ~bands rank =
-  ((((rank / pg.cols) + 1) * bands) - 1) / pg.rows
 
 type t = {
   costs : Costs.t;
@@ -136,8 +113,11 @@ type t = {
   bi_ns : float;
   bus_acc : float array;  (* per-rank accumulated bus interference *)
   (* --- streaming cell accumulators (active iff [sink] is set) --- *)
-  pg : Proc_grid.t;
-  logs : cell_log array;  (* closed cells, one log per row band *)
+  (* A state is one lane's view: every field but [log] is shared by all
+     lanes. Only lane k's domain appends to its [log]; only the calling
+     domain drains [logs], between stages. *)
+  log : Obs.Cell_batch.t;  (* the cells this lane closed in the stage *)
+  logs : Obs.Cell_batch.t array;  (* every lane's log, in lane order *)
   cur_col : int array;  (* column being accumulated; -1 = none *)
   hi_col : int array;  (* highest column ever opened; -1 = none *)
   span_end : float array;  (* end of the rank's last span *)
@@ -148,7 +128,7 @@ type t = {
   acc_wait : float array;
   acc_spans : int array;
   (* --- staged epilogue --- *)
-  mutable recording : bool;  (* halo/collective hooks queue instead *)
+  recording : bool ref;  (* halo/collective hooks queue instead *)
   eops : eop list array;  (* reversed op queue, per rank *)
   eop_t0 : float array;  (* clock at the current op's start *)
   halo_dlv : float array;  (* per-receiver delivery slot for one halo op *)
@@ -165,31 +145,40 @@ let emit t ~rank ~name ~cat ~start args =
       Obs.Tracer.record tr ~cat ~args ~rank ~start
         ~dur:(t.clock.(rank) -. start) name
 
+(* Append one finished cell to the lane's log. Inlined, so that its
+   floats stay unboxed. *)
+let[@inline] log_cell t ~rank ~col ~spans ~t_start ~t_end ~compute ~send
+    ~recv ~wait =
+  let log = t.log in
+  if 3 * (log.Obs.Cell_batch.n + 1) > Array.length log.ints then
+    Obs.Cell_batch.grow log;
+  let i = log.n in
+  log.n <- i + 1;
+  let ints = log.ints and f = log.floats and o = 6 * i in
+  ints.(3 * i) <- rank;
+  ints.((3 * i) + 1) <- col;
+  ints.((3 * i) + 2) <- spans;
+  f.(o) <- t_start;
+  f.(o + 1) <- t_end;
+  f.(o + 2) <- compute;
+  f.(o + 3) <- send;
+  f.(o + 4) <- recv;
+  f.(o + 5) <- wait
+
 (* The streaming counterpart of [Obs.Timeline.of_spans] for the
    contiguous traces this backend produces: per-rank spans partition
    [start, finish] with no gaps or overlaps, so a column's window runs
    from its first span's start to the next column's first span start,
    idle is zero, and [other] is the exact remainder. One cell is closed
    per (rank, column) visit, on the transition to the next column, into
-   the log of the rank's band. Called only with a sink attached, and
-   inlined so that [t_end] stays unboxed. *)
+   the lane's log. Called only with a sink attached. *)
 let[@inline] close_cell t ~rank ~t_end =
   let col = t.cur_col.(rank) in
   if col >= 0 then begin
-    let log = t.logs.(band_of t.pg ~bands:(Array.length t.logs) rank) in
-    if 3 * (log.n + 1) > Array.length log.ints then log_grow log;
-    let i = log.n in
-    log.n <- i + 1;
-    log.ints.(3 * i) <- rank;
-    log.ints.((3 * i) + 1) <- col;
-    log.ints.((3 * i) + 2) <- t.acc_spans.(rank);
-    let f = log.floats and o = 6 * i in
-    f.(o) <- t.col_start.(rank);
-    f.(o + 1) <- t_end;
-    f.(o + 2) <- t.acc_compute.(rank);
-    f.(o + 3) <- t.acc_send.(rank);
-    f.(o + 4) <- t.acc_recv.(rank);
-    f.(o + 5) <- t.acc_wait.(rank);
+    log_cell t ~rank ~col ~spans:t.acc_spans.(rank)
+      ~t_start:t.col_start.(rank) ~t_end ~compute:t.acc_compute.(rank)
+      ~send:t.acc_send.(rank) ~recv:t.acc_recv.(rank)
+      ~wait:t.acc_wait.(rank);
     t.cur_col.(rank) <- -1;
     t.acc_compute.(rank) <- 0.0;
     t.acc_send.(rank) <- 0.0;
@@ -198,36 +187,19 @@ let[@inline] close_cell t ~rank ~t_end =
     t.acc_spans.(rank) <- 0
   end
 
-(* Hand every logged cell to the sink, band by band, and empty the logs.
-   Runs on the calling domain only, between pool stages. *)
+(* Hand every lane's log to the sink, in lane order, and empty it. Runs
+   on the calling domain only, between pool stages. *)
 let drain t =
   match t.sink with
   | None -> ()
   | Some sink ->
-      Array.iter
-        (fun log ->
-          for i = 0 to log.n - 1 do
-            let f = log.floats and o = 6 * i in
-            let t_start = f.(o) and t_end = f.(o + 1) in
-            let compute = f.(o + 2)
-            and send = f.(o + 3)
-            and recv = f.(o + 4)
-            and wait = f.(o + 5) in
-            sink ~rank:log.ints.(3 * i) ~col:log.ints.((3 * i) + 1)
-              {
-                Obs.Timeline.t_start;
-                t_end;
-                compute;
-                send;
-                recv;
-                wait;
-                other = t_end -. t_start -. compute -. send -. recv -. wait;
-                idle = 0.0;
-                spans = log.ints.((3 * i) + 2);
-              }
-          done;
-          log.n <- 0)
-        t.logs
+      for k = 0 to Array.length t.logs - 1 do
+        let log = t.logs.(k) in
+        if log.n > 0 then begin
+          sink log;
+          log.n <- 0
+        end
+      done
 
 let[@inline] cell_note t ~rank ~col ~t0 ~dur ~bucket ~wait =
   match t.sink with
@@ -255,17 +227,17 @@ let[@inline] cell_note t ~rank ~col ~t0 ~dur ~bucket ~wait =
    zero-width cell [of_spans] backfills at the rank's finish — the end
    of its last span, which for a rank stuck inside a staged halo is
    earlier than its clock (the uncovered send time a blocked fiber also
-   never surfaces as a span). Runs on the calling domain. *)
+   never surfaces as a span). Runs on the calling domain, on lane 0. *)
 let finish_cells t ~rank =
-  match t.sink with
-  | None -> ()
-  | Some sink ->
-      let now = t.span_end.(rank) in
-      close_cell t ~rank ~t_end:now;
-      drain t;
-      for col = t.hi_col.(rank) + 1 to t.cols do
-        sink ~rank ~col (Obs.Timeline.zero_cell now)
-      done
+  if t.sink != None then begin
+    let now = t.span_end.(rank) in
+    close_cell t ~rank ~t_end:now;
+    for col = t.hi_col.(rank) + 1 to t.cols do
+      log_cell t ~rank ~col ~spans:0 ~t_start:now ~t_end:now ~compute:0.0
+        ~send:0.0 ~recv:0.0 ~wait:0.0
+    done;
+    drain t
+  end
 
 (* A clock advance plus its span and cell bookkeeping. *)
 let charge t ~rank ~name ~cat ~col ~bucket ?(wait = 0.0) ~args d =
@@ -416,12 +388,12 @@ module Backend = struct
 
   let sweep_begin t ~rank ~sweep ~dir:_ = t.sweep.(rank) <- sweep
 
-  let tile_begin t ~rank ~pos ~wave:gwave =
+  let tile_begin t ~rank ~iteration:_ ~sweep:_ ~tile ~wave:gwave =
     match t.model with
     | None -> ()
     | Some m ->
         Perturb.Model.tile_begin m ~rank ~wave:gwave
-          (spend t ~rank ~col:(wave t ~rank ~tile:pos.Substrate.tile))
+          (spend t ~rank ~col:(wave t ~rank ~tile))
 
   let fixed_work t ~rank d =
     if d > 0.0 then
@@ -438,15 +410,15 @@ module Backend = struct
      pass and resolved by the staged driver below; [Program.epilogue]
      guarantees every rank queues a congruent sequence. *)
   let halo t ~rank ~dst ~src ~bytes =
-    assert t.recording;
+    assert !(t.recording);
     t.eops.(rank) <- Ehalo { dst; src; bytes } :: t.eops.(rank)
 
   let allreduce t ~rank ~count ~msg_size =
-    assert t.recording;
+    assert !(t.recording);
     t.eops.(rank) <- Eallreduce { count; msg_size } :: t.eops.(rank)
 
   let barrier t ~rank =
-    assert t.recording;
+    assert !(t.recording);
     t.eops.(rank) <- Ebarrier :: t.eops.(rank)
 
   let finish t ~rank = t.finish.(rank) <- t.clock.(rank)
@@ -528,39 +500,6 @@ module Pool = struct
     p.workers <- []
 end
 
-(* --- diagonal schedules --- *)
-
-(* For one sweep flow (dx, dy) and one domain's row band: the band's
-   ranks permuted into anti-diagonal order with per-diagonal offsets.
-   Diagonal d of flow (dx, dy) holds the ranks at distance d from the
-   origin corner; ranks within one diagonal are mutually independent. *)
-let diag_schedule pg ~dx ~dy ~row_lo ~row_hi =
-  let cols = pg.Proc_grid.cols and rows = pg.Proc_grid.rows in
-  let ndiag = cols + rows - 1 in
-  let diag_of rank =
-    let i, j = Proc_grid.coords pg rank in
-    (if dx > 0 then i - 1 else cols - i)
-    + if dy > 0 then j - 1 else rows - j
-  in
-  let lo = row_lo * cols and hi = row_hi * cols in
-  let count = Array.make (ndiag + 1) 0 in
-  for rank = lo to hi - 1 do
-    let d = diag_of rank in
-    count.(d + 1) <- count.(d + 1) + 1
-  done;
-  for d = 1 to ndiag do
-    count.(d) <- count.(d) + count.(d - 1)
-  done;
-  let offsets = Array.copy count in
-  let perm = Array.make (max 1 (hi - lo)) 0 in
-  let fill = Array.copy count in
-  for rank = lo to hi - 1 do
-    let d = diag_of rank in
-    perm.(fill.(d)) <- rank;
-    fill.(d) <- fill.(d) + 1
-  done;
-  (ndiag, perm, offsets)
-
 (* --- outcome --- *)
 
 type outcome = {
@@ -604,7 +543,7 @@ let substrate : (t, int) Substrate.s = (module Backend)
 (* Build the flat engine state for one program configuration; shared by
    [run] and the [Steady] telemetry probe so both exercise the identical
    hot-path caches. *)
-let make_state ~perturb ~recover ~obs ~cells ~bands ~costs pg
+let make_state ~perturb ~recover ~obs ~cells ~lanes ~costs pg
     (cfg : Program.config) =
   let ranks = Proc_grid.cores pg in
   let rows = pg.Proc_grid.rows and cols = pg.Proc_grid.cols in
@@ -646,6 +585,7 @@ let make_state ~perturb ~recover ~obs ~cells ~bands ~costs pg
       [| a.(0) +. bi_ew; a.(1) +. bi_ew; a.(2) +. bi_ns; a.(3) +. bi_ns |]
     else a
   in
+  let logs = Array.init lanes (fun _ -> Obs.Cell_batch.create ()) in
   {
     costs;
     ranks;
@@ -672,8 +612,8 @@ let make_state ~perturb ~recover ~obs ~cells ~bands ~costs pg
     bi_ew;
     bi_ns;
     bus_acc = Array.make ranks 0.0;
-    pg;
-    logs = Array.init bands (fun _ -> log_create ());
+    log = logs.(0);
+    logs;
     cur_col = Array.make ranks (-1);
     hi_col = Array.make ranks (-1);
     span_end = Array.make ranks 0.0;
@@ -683,7 +623,7 @@ let make_state ~perturb ~recover ~obs ~cells ~bands ~costs pg
     acc_recv = Array.make ranks 0.0;
     acc_wait = Array.make ranks 0.0;
     acc_spans = Array.make ranks 0;
-    recording = false;
+    recording = ref false;
     eops = Array.make ranks [];
     eop_t0 = Array.make ranks 0.0;
     halo_dlv = Array.make ranks nan;
@@ -699,31 +639,20 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let rows = pg.Proc_grid.rows and cols = pg.Proc_grid.cols in
   let domains = min domains rows in
   let ntiles = cfg.Program.tiling.Program.ntiles in
-  let sweeps = Sweeps.Schedule.sweeps cfg.Program.schedule in
+  let sweeps = Array.of_list (Sweeps.Schedule.sweeps cfg.Program.schedule) in
+  let dirs = Array.map (Program.flow pg) sweeps in
   let t =
-    make_state ~perturb ~recover ~obs ~cells ~bands:domains ~costs pg cfg
+    make_state ~perturb ~recover ~obs ~cells ~lanes:domains ~costs pg cfg
+  in
+  (* Lane k's view of the state, for whichever domain runs chunk (or
+     band) k of a stage; lane 0 is [t] itself. *)
+  let lanes =
+    Array.map (fun log -> if log == t.log then t else { t with log }) t.logs
   in
   let band = band_range pg ~bands:domains in
-  (* Per-(flow, domain) diagonal schedules, built lazily on the main
-     domain (at most 4 distinct flows per schedule). *)
-  let schedules = Hashtbl.create 4 in
-  let schedule_for (dx, dy) =
-    let key = ((if dx > 0 then 0 else 1) * 2) + if dy > 0 then 0 else 1 in
-    match Hashtbl.find_opt schedules key with
-    | Some s -> s
-    | None ->
-        let s =
-          Array.init domains (fun k ->
-              let lo, hi = band k in
-              diag_schedule pg ~dx ~dy ~row_lo:(lo / cols)
-                ~row_hi:(hi / cols))
-        in
-        Hashtbl.add schedules key s;
-        s
-  in
   let pool = Pool.create domains in
   (* Every stage ends with the calling domain draining the cells the
-     bands closed during it. *)
+     lanes closed during it. *)
   let stage f =
     Pool.run pool f;
     drain t
@@ -731,21 +660,20 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let alive rank = match t.status.(rank) with Alive -> true | _ -> false in
   (* One rank, one sweep segment: the whole tile loop of sweep [s],
      epilogue and finish excluded. *)
-  let run_segment ~iter ~s rank =
+  let run_segment lane ~iter ~s rank =
     try
-      Program.run_rank
-        ~from:{ Substrate.iteration = iter; sweep = s; tile = 0 }
-        ~until:{ Substrate.iteration = iter; sweep = s + 1; tile = 0 }
-        substrate t cfg rank
+      Program.run_sweep substrate lane cfg ~rank ~iteration:iter ~sweep:s
+        ~dir:dirs.(s) ~tile0:0 ~tile1:ntiles
     with
     | Stuck_on { rank; src } -> t.status.(rank) <- Blocked_recv src
     | Perturb.Model.Killed { rank; _ } -> t.status.(rank) <- Failed
   in
   let each_banded f =
     stage (fun k ->
+        let lane = lanes.(k) in
         let lo, hi = band k in
         for rank = lo to hi - 1 do
-          f rank
+          f lane rank
         done)
   in
   (* --- staged epilogue resolution --- *)
@@ -759,8 +687,8 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let resolve_halo ~dst ~bytes_of ~src_of =
     (* Pass 1: every live rank stamps its op start and performs its send
        (delivery computed from the sender's clock alone). *)
-    each_banded (fun rank -> t.halo_dlv.(rank) <- nan);
-    each_banded (fun rank ->
+    each_banded (fun _ rank -> t.halo_dlv.(rank) <- nan);
+    each_banded (fun _ rank ->
         if alive rank then begin
           t.eop_t0.(rank) <- t.clock.(rank);
           match dst rank with
@@ -777,7 +705,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
         end);
     (* Pass 2: every live rank receives (or gets stuck on a missing
        delivery) and emits the whole op's span. *)
-    each_banded (fun rank ->
+    each_banded (fun lane rank ->
         if alive rank then begin
           let stuck = ref false in
           (match src_of rank with
@@ -802,7 +730,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
               emit t ~rank ~name:"halo" ~cat:"comm" ~start:t0
                 (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
                 :: epilogue_args);
-            cell_note t ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
+            cell_note lane ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
               ~bucket:Bother ~wait:0.0
           end
         end)
@@ -810,18 +738,19 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let resolve_collective ~name ~collnoise ~count ~cost =
     (* Entry: charge the collective-noise stall (one draw per call, as
        in the fiber substrates) and record the entry clock. *)
-    each_banded (fun rank ->
+    each_banded (fun lane rank ->
         if alive rank then begin
           (match (collnoise, t.model) with
           | true, Some m ->
-              Perturb.Model.before_allreduce m ~rank (spend t ~rank ~col:t.cols)
+              Perturb.Model.before_allreduce m ~rank
+                (spend lane ~rank ~col:t.cols)
           | _ -> ());
           t.eop_t0.(rank) <- t.clock.(rank)
         end);
     if not (all_present ()) then
       (* A dead or stuck rank never arrives, so the rendezvous never
          releases: every arrival parks forever, clock frozen at entry. *)
-      each_banded (fun rank ->
+      each_banded (fun _ rank ->
           if alive rank then t.status.(rank) <- Blocked_coll)
     else begin
       (* Release at the maximum entry clock; [count] back-to-back
@@ -837,7 +766,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           done;
           partial.(k) <- !m);
       let release = Array.fold_left Float.max neg_infinity partial in
-      each_banded (fun rank ->
+      each_banded (fun lane rank ->
           if alive rank then begin
             let t0 = t.eop_t0.(rank) in
             t.clock.(rank) <- release +. (float_of_int count *. cost);
@@ -845,7 +774,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
               emit t ~rank ~name ~cat:"comm" ~start:t0
                 (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
                 :: epilogue_args);
-            cell_note t ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
+            cell_note lane ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
               ~bucket:Bother ~wait:0.0
           end)
     end
@@ -866,13 +795,13 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
               drain t
             end
           done;
-        t.recording <- true;
-        each_banded (fun rank ->
+        t.recording := true;
+        each_banded (fun lane rank ->
             if alive rank then begin
               t.eops.(rank) <- [];
-              Program.epilogue substrate t cfg rank
+              Program.epilogue substrate lane cfg rank
             end);
-        t.recording <- false;
+        t.recording := false;
         (* The op sequences are congruent across ranks; read the shape
            from any live rank and resolve op by op. *)
         let shape = ref [] in
@@ -915,25 +844,34 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       for iter = 1 to iterations do
-        List.iteri
-          (fun s sw ->
-            (* Reset the sweep's delivery slots before any send. *)
+        for s = 0 to Array.length sweeps - 1 do
+          (* Reset the sweep's delivery slots before any send. *)
+          stage (fun k ->
+              let lo, hi = band k in
+              Array.fill t.dlv_x (lo * ntiles) ((hi - lo) * ntiles) nan;
+              Array.fill t.dlv_y (lo * ntiles) ((hi - lo) * ntiles) nan);
+          let dx, dy, _ = dirs.(s) in
+          (* Diagonal d holds the ranks whose 0-based column and row
+             distances from the sweep's origin corner sum to d: at most
+             one per processor row, so its ranks in ascending rank order
+             are one per row of a contiguous row range. Lane k runs the
+             k-th of [domains] near-equal contiguous chunks of them. *)
+          for d = 0 to cols + rows - 2 do
+            let dist_lo = max 0 (d - cols + 1) and dist_hi = min (rows - 1) d in
+            let row_lo = if dy > 0 then dist_lo else rows - 1 - dist_hi in
+            let n = dist_hi - dist_lo + 1 in
             stage (fun k ->
-                let lo, hi = band k in
-                Array.fill t.dlv_x (lo * ntiles) ((hi - lo) * ntiles) nan;
-                Array.fill t.dlv_y (lo * ntiles) ((hi - lo) * ntiles) nan);
-            let dx, dy = Program.flow_xy pg sw.Sweeps.Schedule.origin in
-            let sched = schedule_for (dx, dy) in
-            let ndiag, _, _ = sched.(0) in
-            for d = 0 to ndiag - 1 do
-              stage (fun k ->
-                  let _, perm, offsets = sched.(k) in
-                  for idx = offsets.(d) to offsets.(d + 1) - 1 do
-                    let rank = perm.(idx) in
-                    if alive rank then run_segment ~iter ~s rank
-                  done)
-            done)
-          sweeps;
+                let lane = lanes.(k) in
+                for idx = k * n / domains to ((k + 1) * n / domains) - 1 do
+                  let row = row_lo + idx in
+                  let dist_x = d - if dy > 0 then row else rows - 1 - row in
+                  let rank =
+                    (row * cols) + if dx > 0 then dist_x else cols - 1 - dist_x
+                  in
+                  if alive rank then run_segment lane ~iter ~s rank
+                done)
+          done
+        done;
         run_epilogue ~iter
       done;
       (* Completion, on the calling domain in rank order: finish clocks
@@ -985,26 +923,30 @@ let run_timeline ?iterations ?tiling ?perturb ?recover ?domains ~costs pg app
     =
   let ranks = Proc_grid.cores pg in
   let cells_acc = ref [||] in
-  let cells ~rank ~col (c : Obs.Timeline.cell) =
+  let cells (b : Obs.Cell_batch.t) =
     let rows = !cells_acc in
-    let prev = rows.(rank).(col) in
-    (* Merge repeat visits (iterations > 1): totals add, the window
-       spans the union — the streaming contract. *)
-    rows.(rank).(col) <-
-      (if prev.Obs.Timeline.spans = 0 && Obs.Timeline.cell_width prev = 0.0
-       then c
-       else
-         {
-           Obs.Timeline.t_start = Float.min prev.t_start c.t_start;
-           t_end = Float.max prev.t_end c.t_end;
-           compute = prev.compute +. c.compute;
-           send = prev.send +. c.send;
-           recv = prev.recv +. c.recv;
-           wait = prev.wait +. c.wait;
-           other = prev.other +. c.other;
-           idle = prev.idle +. c.idle;
-           spans = prev.spans + c.spans;
-         })
+    for i = 0 to b.n - 1 do
+      let rank = Obs.Cell_batch.rank b i and col = Obs.Cell_batch.col b i in
+      let c = Obs.Cell_batch.cell b i in
+      let prev = rows.(rank).(col) in
+      (* Merge repeat visits (iterations > 1): totals add, the window
+         spans the union — the streaming contract. *)
+      rows.(rank).(col) <-
+        (if prev.Obs.Timeline.spans = 0 && Obs.Timeline.cell_width prev = 0.0
+         then c
+         else
+           {
+             Obs.Timeline.t_start = Float.min prev.t_start c.t_start;
+             t_end = Float.max prev.t_end c.t_end;
+             compute = prev.compute +. c.compute;
+             send = prev.send +. c.send;
+             recv = prev.recv +. c.recv;
+             wait = prev.wait +. c.wait;
+             other = prev.other +. c.other;
+             idle = prev.idle +. c.idle;
+             spans = prev.spans + c.spans;
+           })
+    done
   in
   (* Column count depends on the app's tiling; compute it the same way
      [run] does. *)
@@ -1070,7 +1012,7 @@ module Steady = struct
       invalid_arg "Batched.Steady.probe: the grid must be at least 3x3";
     let cfg = Program.of_app pg app in
     let state =
-      make_state ~perturb:None ~recover:None ~obs:None ~cells:None ~bands:1
+      make_state ~perturb:None ~recover:None ~obs:None ~cells:None ~lanes:1
         ~costs pg cfg
     in
     let rank = Proc_grid.rank pg ((cols / 2) + 1, (rows / 2) + 1) in
@@ -1092,7 +1034,7 @@ module Steady = struct
     let now = t.clock.(rank) in
     t.dlv_x.(slot) <- now;
     t.dlv_y.(slot) <- now;
-    Backend.tile_begin t ~rank ~pos:Substrate.start_position ~wave:0;
+    Backend.tile_begin t ~rank ~iteration:1 ~sweep:0 ~tile:0 ~wave:0;
     Backend.precompute t ~rank ~tile:0;
     let x =
       Backend.recv t ~rank ~src:p.west ~axis:Substrate.X ~tile:0 ~h:0

@@ -4,8 +4,9 @@
     per-event heap records — whole anti-diagonals of the processor grid
     advance per step over flat preallocated structure-of-arrays (per-rank
     virtual clocks, per-slot delivery timestamps), optionally sharded
-    across OCaml 5 domains by contiguous row bands of the torus with
-    synchronization only at diagonal and epilogue-stage boundaries. Its
+    across OCaml 5 domains: each diagonal is split into near-equal
+    contiguous chunks, one per domain, and each epilogue pass into row
+    bands, with synchronization only at those stage boundaries. Its
     timeline is the analytic term schedule every report compares
     observed runs against.
 
@@ -20,15 +21,18 @@
 
 open Wgrid
 
-type cell_sink = rank:int -> col:int -> Obs.Timeline.cell -> unit
-(** Receives one finished timeline cell per (rank, column) visit, in
-    each rank's program order (columns of one rank arrive in increasing
-    time, ranks interleave). Column [waves] is the epilogue. A column
-    visited by more than one iteration produces one cell per visit:
-    totals are additive and windows union — [Obs.Timeline_stream] folds
-    them accordingly. The sink is only ever called on the domain that
-    called {!run}, one cell at a time, in the order a 1-domain run
-    produces, whatever [domains] is: it needs no synchronization. *)
+type cell_sink = Obs.Cell_batch.t -> unit
+(** Receives the finished timeline cells, one per (rank, column) visit,
+    in flat batches ({!Obs.Cell_batch} documents the layout): each
+    rank's cells in its program order (columns of one rank arrive in
+    increasing time, ranks interleave). Column [waves] is the epilogue.
+    A column visited by more than one iteration produces one cell per
+    visit: totals are additive and windows union —
+    [Obs.Timeline_stream] folds them accordingly. The sink is only ever
+    called on the domain that called {!run}, in the order a 1-domain run
+    produces, whatever [domains] is: it needs no synchronization. A
+    batch is one lane's log of one stage; it is emptied and refilled
+    after the sink returns, so the sink must not keep it. *)
 
 type status = Alive | Done | Failed | Blocked_recv of int | Blocked_coll
 
@@ -65,11 +69,14 @@ val run :
   Proc_grid.t ->
   Wavefront_core.App_params.t ->
   outcome
-(** Evaluate the program on every rank. [domains] (default 1) shards
-    ranks across that many OCaml 5 domains by row bands (clamped to the
-    grid's row count); results are bitwise identical for every domain
-    count — collective release points are associative float maxima and
-    each rank's perturbation stream is its own. [obs] attaches a span
+(** Evaluate the program on every rank. [domains] (default 1, clamped
+    to the grid's row count) shards the work across that many OCaml 5
+    domains: every wavefront stage splits its anti-diagonal into
+    [domains] contiguous chunks of near-equal size in ascending rank
+    order, and every epilogue pass splits the ranks into row bands.
+    Results are bitwise identical for every domain count — collective
+    release points are associative float maxima and each rank's
+    perturbation stream is its own. [obs] attaches a span
     tracer (requires [domains = 1]: the tracer is not thread-safe;
     raises [Invalid_argument] otherwise); [cells] streams timeline
     cells. The stream is domain-independent too: the same cells reach

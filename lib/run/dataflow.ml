@@ -353,7 +353,7 @@ module Substrate = struct
 
   let precompute _ ~rank:_ ~tile:_ = ()
   let sweep_begin _ ~rank:_ ~sweep:_ ~dir:_ = ()
-  let tile_begin _ ~rank:_ ~pos:_ ~wave:_ = ()
+  let tile_begin _ ~rank:_ ~iteration:_ ~sweep:_ ~tile:_ ~wave:_ = ()
   let fixed_work _ ~rank:_ _ = ()
   let stencil_compute _ ~rank:_ ~wg_stencil:_ = ()
 

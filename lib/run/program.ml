@@ -112,10 +112,13 @@ let epilogue (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg rank
 
 (* Exclusive lexicographic order on tile-step positions; the epilogue of
    iteration [i] sits at the virtual position [(i, nsweeps, 0)]. *)
-let position_lt (a : Substrate.position) (b : Substrate.position) =
-  a.iteration < b.iteration
-  || (a.iteration = b.iteration
-     && (a.sweep < b.sweep || (a.sweep = b.sweep && a.tile < b.tile)))
+let precedes ~iteration ~sweep ~tile (b : Substrate.position) =
+  iteration < b.iteration
+  || (iteration = b.iteration
+     && (sweep < b.sweep || (sweep = b.sweep && tile < b.tile)))
+
+let position_lt (a : Substrate.position) b =
+  precedes ~iteration:a.iteration ~sweep:a.sweep ~tile:a.tile b
 
 (* Global wave index of a tile step: one wave per tile compute, counted
    across sweeps and iterations — the clock the checkpoint interval ticks
@@ -130,72 +133,84 @@ let waves cfg =
   * List.length (Sweeps.Schedule.sweeps cfg.schedule)
   * cfg.tiling.ntiles
 
+(* One rank's tiles [tile0, tile1) of one sweep. Nothing is allocated:
+   the four neighbours are resolved by rank arithmetic once per call (-1
+   off the grid), and each tile step's position goes to [tile_begin] as
+   its fields. *)
+let run_sweep (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
+    ~rank ~iteration ~sweep ~dir ~tile0 ~tile1 =
+  let cols = cfg.pg.Proc_grid.cols and rows = cfg.pg.Proc_grid.rows in
+  let i = (rank mod cols) + 1 and j = (rank / cols) + 1 in
+  let dx, dy, _ = dir in
+  let src_x = if i - dx >= 1 && i - dx <= cols then rank - dx else -1 in
+  let dst_x = if i + dx >= 1 && i + dx <= cols then rank + dx else -1 in
+  let src_y =
+    if j - dy >= 1 && j - dy <= rows then rank - (dy * cols) else -1
+  in
+  let dst_y =
+    if j + dy >= 1 && j + dy <= rows then rank + (dy * cols) else -1
+  in
+  let wave_base =
+    (((iteration - 1) * Sweeps.Schedule.nsweeps cfg.schedule) + sweep)
+    * cfg.tiling.ntiles
+  in
+  S.sweep_begin s ~rank ~sweep ~dir;
+  for tile = tile0 to tile1 - 1 do
+    let h = cfg.tiling.h_of tile in
+    S.tile_begin s ~rank ~iteration ~sweep ~tile ~wave:(wave_base + tile);
+    (* Figure 4: LU pre-computes part of the domain before the receives;
+       Sweep3D and Chimaera have Wg_pre = 0. *)
+    S.precompute s ~rank ~tile;
+    let x =
+      if src_x >= 0 then
+        S.recv s ~rank ~src:src_x ~axis:X ~tile ~h ~bytes:cfg.msg_ew
+      else S.boundary s ~rank ~axis:X ~h
+    in
+    let y =
+      if src_y >= 0 then
+        S.recv s ~rank ~src:src_y ~axis:Y ~tile ~h ~bytes:cfg.msg_ns
+      else S.boundary s ~rank ~axis:Y ~h
+    in
+    let out_x, out_y = S.compute s ~rank ~dir ~tile ~h ~x ~y in
+    if dst_x >= 0 then S.send s ~rank ~dst:dst_x ~axis:X ~tile out_x;
+    if dst_y >= 0 then S.send s ~rank ~dst:dst_y ~axis:Y ~tile out_y
+  done
+
 let run_rank (type st p) ?(from = Substrate.start_position) ?until
     ((module S) : (st, p) Substrate.s) (s : st) cfg rank =
-  let pg = cfg.pg in
-  let i, j = Proc_grid.coords pg rank in
-  (* The rank of the neighbour at offset (di, dj), or -1 off the grid. *)
-  let neighbour di dj =
-    let p = (i + di, j + dj) in
-    if Proc_grid.contains pg p then Proc_grid.rank pg p else -1
-  in
   let sweeps = Sweeps.Schedule.sweeps cfg.schedule in
-  let nsweeps = List.length sweeps in
+  let nsweeps = List.length sweeps and ntiles = cfg.tiling.ntiles in
   if
     from.iteration < 1
     || from.sweep < 0
     || from.sweep >= nsweeps
     || from.tile < 0
-    || from.tile >= cfg.tiling.ntiles
+    || from.tile >= ntiles
   then invalid_arg "Program.run_rank: resume position out of range";
-  let runs p = match until with None -> true | Some u -> position_lt p u in
-  for iter = from.iteration to cfg.iterations do
+  let runs ~iteration ~sweep ~tile =
+    match until with None -> true | Some u -> precedes ~iteration ~sweep ~tile u
+  in
+  for iteration = from.iteration to cfg.iterations do
     List.iteri
-      (fun sweep_idx sw ->
-        let tile0 =
-          if iter = from.iteration && sweep_idx = from.sweep then from.tile
-          else 0
-        in
-        if
-          (iter > from.iteration || sweep_idx >= from.sweep)
-          && runs { iteration = iter; sweep = sweep_idx; tile = tile0 }
-        then begin
-        let (dx, dy, _) as dir = flow pg sw in
-        (* Resolved once per sweep, not per tile. *)
-        let src_x = neighbour (-dx) 0 and src_y = neighbour 0 (-dy) in
-        let dst_x = neighbour dx 0 and dst_y = neighbour 0 dy in
-        let wave_base =
-          (((iter - 1) * nsweeps) + sweep_idx) * cfg.tiling.ntiles
-        in
-        S.sweep_begin s ~rank ~sweep:sweep_idx ~dir;
-        for tile = tile0 to cfg.tiling.ntiles - 1 do
-          let h = cfg.tiling.h_of tile in
-          let pos : Substrate.position =
-            { iteration = iter; sweep = sweep_idx; tile }
+      (fun sweep sw ->
+        if iteration > from.iteration || sweep >= from.sweep then begin
+          let tile0 =
+            if iteration = from.iteration && sweep = from.sweep then from.tile
+            else 0
           in
-          if runs pos then begin
-          S.tile_begin s ~rank ~pos ~wave:(wave_base + tile);
-          (* Figure 4: LU pre-computes part of the domain before the
-             receives; Sweep3D and Chimaera have Wg_pre = 0. *)
-          S.precompute s ~rank ~tile;
-          let x =
-            if src_x >= 0 then
-              S.recv s ~rank ~src:src_x ~axis:X ~tile ~h ~bytes:cfg.msg_ew
-            else S.boundary s ~rank ~axis:X ~h
+          (* [until]'s tile bounds the loop in its own sweep only. *)
+          let tile1 =
+            match until with
+            | Some u when u.iteration = iteration && u.sweep = sweep ->
+                min ntiles u.tile
+            | _ -> if runs ~iteration ~sweep ~tile:tile0 then ntiles else 0
           in
-          let y =
-            if src_y >= 0 then
-              S.recv s ~rank ~src:src_y ~axis:Y ~tile ~h ~bytes:cfg.msg_ns
-            else S.boundary s ~rank ~axis:Y ~h
-          in
-          let out_x, out_y = S.compute s ~rank ~dir ~tile ~h ~x ~y in
-          if dst_x >= 0 then S.send s ~rank ~dst:dst_x ~axis:X ~tile out_x;
-          if dst_y >= 0 then S.send s ~rank ~dst:dst_y ~axis:Y ~tile out_y
-          end
-        done
+          if tile0 < tile1 then
+            run_sweep (module S) s cfg ~rank ~iteration ~sweep
+              ~dir:(flow cfg.pg sw) ~tile0 ~tile1
         end)
       sweeps;
-    if runs { iteration = iter; sweep = nsweeps; tile = 0 } then
-      epilogue_at (module S) s cfg rank (i, j)
+    if runs ~iteration ~sweep:nsweeps ~tile:0 then
+      epilogue (module S) s cfg rank
   done;
   if until = None then S.finish s ~rank

@@ -85,6 +85,25 @@ val epilogue : ('t, 'p) Substrate.s -> 't -> config -> int -> unit
     order (e.g. the batched engine's deferred epilogue stage) call this
     directly; {!run_rank} invokes the same code at each iteration end. *)
 
+val run_sweep :
+  ('t, 'p) Substrate.s ->
+  't ->
+  config ->
+  rank:int ->
+  iteration:int ->
+  sweep:int ->
+  dir:int * int * int ->
+  tile0:int ->
+  tile1:int ->
+  unit
+(** One rank's tile loop over tiles [[tile0, tile1)] of sweep [sweep] of
+    iteration [iteration], whose {!flow} is [dir]: [sweep_begin], then
+    per tile [tile_begin], [precompute], the two upstream receives,
+    [compute] and the two downstream sends. This is the body {!run_rank}
+    runs per sweep; a driver that advances ranks sweep by sweep (the
+    batched engine) calls it directly, with a [dir] computed once per
+    sweep. It allocates nothing of its own. *)
+
 val run_rank :
   ?from:Substrate.position ->
   ?until:Substrate.position ->

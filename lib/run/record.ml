@@ -65,7 +65,9 @@ module Wrap (S : Substrate.S) = struct
 
   (* Not recorded: checkpointing is a substrate-local concern and must not
      perturb the cross-backend sequence oracle. *)
-  let tile_begin (_, s) ~rank ~pos ~wave = S.tile_begin s ~rank ~pos ~wave
+  let tile_begin (_, s) ~rank ~iteration ~sweep ~tile ~wave =
+    S.tile_begin s ~rank ~iteration ~sweep ~tile ~wave
+
   let fixed_work (_, s) ~rank t = S.fixed_work s ~rank t
 
   let stencil_compute (_, s) ~rank ~wg_stencil =

@@ -74,15 +74,18 @@ module type S = sig
   (** Called once per sweep before its first tile, with the sweep's index
       in the schedule and its (dx, dy, dz) flow direction. *)
 
-  val tile_begin : t -> rank:int -> pos:position -> wave:int -> unit
+  val tile_begin : t -> rank:int -> iteration:int -> sweep:int -> tile:int ->
+    wave:int -> unit
   (** Called at the start of every tile step, before [precompute], with the
-      step's resumable position and its global wave index
+      fields of the step's resumable {!position} and its global wave index
       [wave = ((iteration - 1) * nsweeps + sweep) * ntiles + tile]. This is
       the checkpoint layer's anchor: a substrate honouring a checkpoint
       policy snapshots its state here when the wave is due
       ([Perturb.Recover.due]), and a simulated substrate spends the
       modeled checkpoint cost [Perturb.Model.tile_begin] charges.
-      Substrates without recovery bookkeeping do nothing. *)
+      Substrates without recovery bookkeeping do nothing. The position
+      comes as its fields so that the tile loop allocates nothing; a
+      substrate builds the record only for a snapshot it takes. *)
 
   (* Non-wavefront operations between iterations (Table 3's
      Tnonwavefront). *)

@@ -337,13 +337,12 @@ module Backend = struct
     (* The checkpoint anchor: the modeled snapshot cost is charged
        before the tile's work. A no-op without a policy, so the zero
        config stays bitwise invisible. *)
-    let tile_begin t ~rank ~pos ~wave =
+    let tile_begin t ~rank ~iteration:_ ~sweep:_ ~tile ~wave =
       match t.model with
       | None -> ()
       | Some m ->
           Perturb.Model.tile_begin m ~rank ~wave
-            (spend t rank (fun () ->
-                 [ wave_of t rank pos.Wrun.Substrate.tile ]))
+            (spend t rank (fun () -> [ wave_of t rank tile ]))
 
     let fixed_work t ~rank d = timed_compute ~args:epilogue_args t rank d
 

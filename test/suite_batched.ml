@@ -215,30 +215,61 @@ let test_collnoise_pin () =
 
 (* --- Bitwise determinism across domain counts --- *)
 
+(* Each configuration runs at 1 domain and at every listed domain
+   count; elapsed bits, message count and the dense timeline must all
+   match. The non-square grids put the diagonals' row ranges through
+   every corner case — a diagonal shorter than the domain count leaves
+   chunks empty — and the three apps sweep from different corners; the
+   bus is on at 2 cores per node and each run has 2 iterations, so the
+   epilogue's row bands meet the diagonal chunks on both sides. *)
 let test_domain_determinism () =
-  let pg = Proc_grid.of_cores 16 in
-  let app = sweep 16 in
-  let costs = costs_for pg app in
-  let check_spec name perturb =
-    let o1, tl1 = Wrun.Batched.run_timeline ?perturb ~costs pg app in
+  let check name ?iterations ?perturb ~costs pg app domains =
+    let o1, tl1 =
+      Wrun.Batched.run_timeline ?iterations ?perturb ~costs pg app
+    in
     List.iter
       (fun domains ->
         let od, tld =
-          Wrun.Batched.run_timeline ?perturb ~domains ~costs pg app
+          Wrun.Batched.run_timeline ?iterations ?perturb ~domains ~costs pg
+            app
         in
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "%s: elapsed bitwise-equal at %d domains" name
-             domains)
-          o1.elapsed od.elapsed;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: timeline bitwise-equal at %d domains" name
-             domains)
-          true
+        let what fmt =
+          Printf.sprintf ("%s, %d domains: " ^^ fmt) name domains
+        in
+        Alcotest.(check int64) (what "elapsed bits")
+          (Int64.bits_of_float o1.elapsed)
+          (Int64.bits_of_float od.elapsed);
+        Alcotest.(check int) (what "messages") o1.messages od.messages;
+        Alcotest.(check bool) (what "timeline bitwise-equal") true
           (Obs.Timeline.equal ~tol:0.0 tl1 tld))
-      [ 2; 3; 16 ]
+      domains
   in
-  check_spec "zero spec" None;
-  check_spec "perturbed" (Some (spec "seed=3 pulse=3:40:500 straggler=2:100"))
+  let pg = Proc_grid.of_cores 16 in
+  let app = sweep 16 in
+  let costs = costs_for pg app in
+  check "zero spec" ~costs pg app [ 2; 3; 16 ];
+  check "perturbed"
+    ~perturb:(spec "seed=3 pulse=3:40:500 straggler=2:100")
+    ~costs pg app [ 2; 3; 16 ];
+  let grid = Data_grid.cube 12 in
+  List.iter
+    (fun (cols, rows) ->
+      let pg = Proc_grid.v ~cols ~rows in
+      List.iter
+        (fun (name, app) ->
+          let costs =
+            Wrun.Costs.loggp ~model_bus:true ~cmp:(Cmp.of_cores_per_node 2)
+              xt4 pg app
+          in
+          check
+            (Printf.sprintf "%s on %dx%d" name cols rows)
+            ~iterations:2 ~costs pg app [ 2; 3; 5 ])
+        [
+          ("sweep3d", Apps.Sweep3d.params grid);
+          ("lu", Apps.Lu.params grid);
+          ("chimaera", Apps.Chimaera.params grid);
+        ])
+    [ (9, 4); (4, 9); (2, 11); (7, 1) ]
 
 (* The sink runs on the calling domain, in the order of a 1-domain run,
    so the streamed fold's float sums depend neither on the domain count
@@ -267,9 +298,9 @@ let test_stream_domain_determinism () =
       Obs.Timeline_stream.create ~max_rank_buckets:4 ~max_wave_buckets:8
         ~ranks:35 ~waves ()
     in
-    let cells ~rank ~col c =
-      Obs.Timeline_stream.sink full ~rank ~col c;
-      Obs.Timeline_stream.sink coarse ~rank ~col c
+    let cells b =
+      Obs.Timeline_stream.sink full b;
+      Obs.Timeline_stream.sink coarse b
     in
     let o =
       Wrun.Batched.run ~iterations:2 ~perturb ?recover ~cells ~domains ~costs
@@ -432,9 +463,12 @@ let test_stream_bucketized () =
   Alcotest.(check bool) "CSV has a header and bucket rows" true
     (List.length rows > 1);
   (* Out-of-range cells are rejected, not silently folded. *)
+  let stray = Obs.Cell_batch.create () in
+  stray.ints.(0) <- 99;
+  stray.n <- 1;
   Alcotest.check_raises "out-of-range rank rejected"
     (Invalid_argument "Timeline_stream.sink: cell out of range") (fun () ->
-      Obs.Timeline_stream.sink st ~rank:99 ~col:0 (Obs.Timeline.zero_cell 0.0))
+      Obs.Timeline_stream.sink st stray)
 
 (* --- The SoA event heap --- *)
 
