@@ -1329,7 +1329,7 @@ type alloc_target = {
           measured window and returns the unit of work *)
 }
 
-(* Measured at 31,490 minor words per 256-rank sweep3d run (32,768
+(* Measured at 31,489 minor words per 256-rank sweep3d run (32,768
    rank-tiles in 2,048 rank-sweep segments), all of it set-up and
    per-stage: the per-link locality probe (17,666), the per-rank state
    arrays, one closure per pool stage and the epilogue's op queues. The
@@ -1351,7 +1351,7 @@ let batched_run_setup () =
   (app, pg, costs)
 
 (* The same run streaming into a [Timeline_stream] sink, measured at
-   31,497 minor words: the 33,024 cells (one per (rank, column)) reach
+   31,496 minor words: the 33,024 cells (one per (rank, column)) reach
    the sink in flat per-lane batches and are folded in place, so the
    stream adds nothing per cell to the [batched-run] words. The ratchet
    pins 40k (27% headroom): a cell record per (rank, column) adds 24

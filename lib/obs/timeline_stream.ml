@@ -42,9 +42,8 @@ type t = {
      sums and the window envelope at [grid.(stride * i + f)] for each
      field offset [f], span and member counts at [counts.(2 * i)] and
      [counts.(2 * i + 1)]. The grid is not initialized: a bucket's
-     fields are set by its first member (a sum as [0.0 +. x], bitwise
-     what adding to a zeroed field gives), and readers skip buckets
-     with no members. *)
+     fields are zeroed when its first member arrives, and readers skip
+     buckets with no members. *)
   grid : float array;
   counts : int array;
   (* exact per-column totals, index [col] with [waves] = epilogue *)
@@ -109,8 +108,10 @@ let wave_bucket_bounds t cb =
     (lo, hi)
   end
 
-(* The cells' idle time is 0 ([Cell_batch]), so the idle sums stay 0
-   and are not accumulated. *)
+(* A bucket's 8 fields are zeroed when its first member arrives. The
+   cells' idle time is 0 ([Cell_batch]), so the idle sums stay 0 and are
+   not accumulated. Each cell is counted as it is folded, so a stray
+   cell leaves the ones before it folded and counted. *)
 let sink t (b : Cell_batch.t) =
   let ints = b.ints and fl = b.floats and g = t.grid in
   for c = 0 to b.n - 1 do
@@ -125,28 +126,16 @@ let sink t (b : Cell_batch.t) =
     let rb = rank_bucket t rank in
     let i = (rb * (t.wave_buckets + 1)) + wave_bucket t col in
     let n = t.counts.((2 * i) + 1) and o = stride * i in
+    if n = 0 then Array.fill g o stride 0.0;
+    t.counts.(2 * i) <- t.counts.(2 * i) + spans;
     t.counts.((2 * i) + 1) <- n + 1;
-    if n = 0 then begin
-      t.counts.(2 * i) <- spans;
-      g.(o + f_compute) <- 0.0 +. compute;
-      g.(o + f_send) <- 0.0 +. send;
-      g.(o + f_recv) <- 0.0 +. recv;
-      g.(o + f_wait) <- 0.0 +. wait;
-      g.(o + f_other) <- 0.0 +. other;
-      g.(o + f_idle) <- 0.0;
-      g.(o + f_tmin) <- t_start;
-      g.(o + f_tmax) <- t_end
-    end
-    else begin
-      t.counts.(2 * i) <- t.counts.(2 * i) + spans;
-      g.(o + f_compute) <- g.(o + f_compute) +. compute;
-      g.(o + f_send) <- g.(o + f_send) +. send;
-      g.(o + f_recv) <- g.(o + f_recv) +. recv;
-      g.(o + f_wait) <- g.(o + f_wait) +. wait;
-      g.(o + f_other) <- g.(o + f_other) +. other;
-      if t_start < g.(o + f_tmin) then g.(o + f_tmin) <- t_start;
-      if t_end > g.(o + f_tmax) then g.(o + f_tmax) <- t_end
-    end;
+    g.(o + f_compute) <- g.(o + f_compute) +. compute;
+    g.(o + f_send) <- g.(o + f_send) +. send;
+    g.(o + f_recv) <- g.(o + f_recv) +. recv;
+    g.(o + f_wait) <- g.(o + f_wait) +. wait;
+    g.(o + f_other) <- g.(o + f_other) +. other;
+    if n = 0 || t_start < g.(o + f_tmin) then g.(o + f_tmin) <- t_start;
+    if n = 0 || t_end > g.(o + f_tmax) then g.(o + f_tmax) <- t_end;
     t.col_compute.(col) <- t.col_compute.(col) +. compute;
     t.col_send.(col) <- t.col_send.(col) +. send;
     t.col_recv.(col) <- t.col_recv.(col) +. recv;
@@ -155,9 +144,9 @@ let sink t (b : Cell_batch.t) =
     t.col_width.(col) <- t.col_width.(col) +. (t_end -. t_start);
     t.col_cells.(col) <- t.col_cells.(col) + 1;
     if t_start < t.b_start.(rb) then t.b_start.(rb) <- t_start;
-    if t_end > t.b_finish.(rb) then t.b_finish.(rb) <- t_end
-  done;
-  t.cells <- t.cells + b.n
+    if t_end > t.b_finish.(rb) then t.b_finish.(rb) <- t_end;
+    t.cells <- t.cells + 1
+  done
 
 let gf t i f = t.grid.((stride * i) + f)
 let spans_of t i = t.counts.(2 * i)

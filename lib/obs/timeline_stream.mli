@@ -34,7 +34,8 @@ val sink : t -> Cell_batch.t -> unit
     Repeat visits to one (rank, column) fold additively (totals add,
     windows union) — the producer's multi-iteration contract. A batch's
     cells have no idle time, so the [Idle] totals are 0. Raises
-    [Invalid_argument] on an out-of-range cell. *)
+    [Invalid_argument] on an out-of-range cell; the cells before it stay
+    folded and counted. *)
 
 val cells : t -> int
 (** Cells folded so far. *)

@@ -663,7 +663,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
   let run_segment lane ~iter ~s rank =
     try
       Program.run_sweep substrate lane cfg ~rank ~iteration:iter ~sweep:s
-        ~dir:dirs.(s) ~tile0:0 ~tile1:ntiles
+        ~dir:dirs.(s) ~tile0:0
     with
     | Stuck_on { rank; src } -> t.status.(rank) <- Blocked_recv src
     | Perturb.Model.Killed { rank; _ } -> t.status.(rank) <- Failed

@@ -110,16 +110,6 @@ let epilogue (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg rank
     =
   epilogue_at (module S) s cfg rank (Proc_grid.coords cfg.pg rank)
 
-(* Exclusive lexicographic order on tile-step positions; the epilogue of
-   iteration [i] sits at the virtual position [(i, nsweeps, 0)]. *)
-let precedes ~iteration ~sweep ~tile (b : Substrate.position) =
-  iteration < b.iteration
-  || (iteration = b.iteration
-     && (sweep < b.sweep || (sweep = b.sweep && tile < b.tile)))
-
-let position_lt (a : Substrate.position) b =
-  precedes ~iteration:a.iteration ~sweep:a.sweep ~tile:a.tile b
-
 (* Global wave index of a tile step: one wave per tile compute, counted
    across sweeps and iterations — the clock the checkpoint interval ticks
    on, and the per-rank tile counter [Perturb.Model.before_compute]
@@ -133,12 +123,12 @@ let waves cfg =
   * List.length (Sweeps.Schedule.sweeps cfg.schedule)
   * cfg.tiling.ntiles
 
-(* One rank's tiles [tile0, tile1) of one sweep. Nothing is allocated:
+(* One rank's tiles [tile0, ntiles) of one sweep. Nothing is allocated:
    the four neighbours are resolved by rank arithmetic once per call (-1
    off the grid), and each tile step's position goes to [tile_begin] as
    its fields. *)
 let run_sweep (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
-    ~rank ~iteration ~sweep ~dir ~tile0 ~tile1 =
+    ~rank ~iteration ~sweep ~dir ~tile0 =
   let cols = cfg.pg.Proc_grid.cols and rows = cfg.pg.Proc_grid.rows in
   let i = (rank mod cols) + 1 and j = (rank / cols) + 1 in
   let dx, dy, _ = dir in
@@ -155,7 +145,7 @@ let run_sweep (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
     * cfg.tiling.ntiles
   in
   S.sweep_begin s ~rank ~sweep ~dir;
-  for tile = tile0 to tile1 - 1 do
+  for tile = tile0 to cfg.tiling.ntiles - 1 do
     let h = cfg.tiling.h_of tile in
     S.tile_begin s ~rank ~iteration ~sweep ~tile ~wave:(wave_base + tile);
     (* Figure 4: LU pre-computes part of the domain before the receives;
@@ -176,20 +166,16 @@ let run_sweep (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
     if dst_y >= 0 then S.send s ~rank ~dst:dst_y ~axis:Y ~tile out_y
   done
 
-let run_rank (type st p) ?(from = Substrate.start_position) ?until
+let run_rank (type st p) ?(from = Substrate.start_position)
     ((module S) : (st, p) Substrate.s) (s : st) cfg rank =
   let sweeps = Sweeps.Schedule.sweeps cfg.schedule in
-  let nsweeps = List.length sweeps and ntiles = cfg.tiling.ntiles in
   if
     from.iteration < 1
     || from.sweep < 0
-    || from.sweep >= nsweeps
+    || from.sweep >= List.length sweeps
     || from.tile < 0
-    || from.tile >= ntiles
+    || from.tile >= cfg.tiling.ntiles
   then invalid_arg "Program.run_rank: resume position out of range";
-  let runs ~iteration ~sweep ~tile =
-    match until with None -> true | Some u -> precedes ~iteration ~sweep ~tile u
-  in
   for iteration = from.iteration to cfg.iterations do
     List.iteri
       (fun sweep sw ->
@@ -198,19 +184,10 @@ let run_rank (type st p) ?(from = Substrate.start_position) ?until
             if iteration = from.iteration && sweep = from.sweep then from.tile
             else 0
           in
-          (* [until]'s tile bounds the loop in its own sweep only. *)
-          let tile1 =
-            match until with
-            | Some u when u.iteration = iteration && u.sweep = sweep ->
-                min ntiles u.tile
-            | _ -> if runs ~iteration ~sweep ~tile:tile0 then ntiles else 0
-          in
-          if tile0 < tile1 then
-            run_sweep (module S) s cfg ~rank ~iteration ~sweep
-              ~dir:(flow cfg.pg sw) ~tile0 ~tile1
+          run_sweep (module S) s cfg ~rank ~iteration ~sweep
+            ~dir:(flow cfg.pg sw) ~tile0
         end)
       sweeps;
-    if runs ~iteration ~sweep:nsweeps ~tile:0 then
-      epilogue (module S) s cfg rank
+    epilogue (module S) s cfg rank
   done;
-  if until = None then S.finish s ~rank
+  S.finish s ~rank

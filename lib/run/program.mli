@@ -72,12 +72,6 @@ val waves : config -> int
     ([iterations * nsweeps * ntiles]); wave indices range over
     [0 .. waves - 1]. *)
 
-val position_lt : Substrate.position -> Substrate.position -> bool
-(** Strict lexicographic order on (iteration, sweep, tile) — the program
-    order of tile steps. The epilogue (non-wavefront section) of iteration
-    [i] sits at the virtual position [(i, nsweeps, 0)], so an [until] of
-    exactly that position excludes it while [(i + 1, 0, 0)] includes it. *)
-
 val epilogue : ('t, 'p) Substrate.s -> 't -> config -> int -> unit
 (** Run only the non-wavefront section of one iteration for one rank — the
     [App_params.nonwavefront] variant: fixed work, allreduce, or the
@@ -94,9 +88,8 @@ val run_sweep :
   sweep:int ->
   dir:int * int * int ->
   tile0:int ->
-  tile1:int ->
   unit
-(** One rank's tile loop over tiles [[tile0, tile1)] of sweep [sweep] of
+(** One rank's tile loop over tiles [[tile0, ntiles)] of sweep [sweep] of
     iteration [iteration], whose {!flow} is [dir]: [sweep_begin], then
     per tile [tile_begin], [precompute], the two upstream receives,
     [compute] and the two downstream sends. This is the body {!run_rank}
@@ -106,7 +99,6 @@ val run_sweep :
 
 val run_rank :
   ?from:Substrate.position ->
-  ?until:Substrate.position ->
   ('t, 'p) Substrate.s ->
   't ->
   config ->
@@ -121,12 +113,4 @@ val run_rank :
     are skipped outright — the substrate must already hold the state a
     checkpoint restored (accumulated block, carried z-face, rewound
     channels). [sweep_begin] still fires for the resumed sweep. Raises
-    [Invalid_argument] if the position is out of range.
-
-    [until] (exclusive, in {!position_lt} order) stops the program before
-    the given tile step, letting a driver execute a rank's program in
-    segments — e.g. one sweep at a time: [~from:(i, s, 0)
-    ~until:(i, s + 1, 0)]. An iteration's epilogue runs iff its virtual
-    position [(i, nsweeps, 0)] is before [until]; [finish] fires only on
-    an unbounded run ([until = None]) — segmented drivers signal
-    completion themselves. *)
+    [Invalid_argument] if the position is out of range. *)

@@ -462,13 +462,20 @@ let test_stream_bucketized () =
   in
   Alcotest.(check bool) "CSV has a header and bucket rows" true
     (List.length rows > 1);
-  (* Out-of-range cells are rejected, not silently folded. *)
+  (* Out-of-range cells are rejected, not silently folded; a valid cell
+     ahead of the stray one in its batch stays folded and counted. *)
+  let before = Obs.Timeline_stream.cells st in
+  let col0 = Obs.Timeline_stream.column_cells st 0 in
   let stray = Obs.Cell_batch.create () in
-  stray.ints.(0) <- 99;
-  stray.n <- 1;
+  stray.ints.(3) <- 99;
+  stray.n <- 2;
   Alcotest.check_raises "out-of-range rank rejected"
     (Invalid_argument "Timeline_stream.sink: cell out of range") (fun () ->
-      Obs.Timeline_stream.sink st stray)
+      Obs.Timeline_stream.sink st stray);
+  Alcotest.(check int) "cell before the stray one counted" (before + 1)
+    (Obs.Timeline_stream.cells st);
+  Alcotest.(check int) "cell before the stray one folded" (col0 + 1)
+    (Obs.Timeline_stream.column_cells st 0)
 
 (* --- The SoA event heap --- *)
 
