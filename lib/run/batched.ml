@@ -16,11 +16,13 @@
    returns).
 
    Ranks are sharded across OCaml 5 domains stage by stage. A wavefront
-   stage splits its anti-diagonal into one contiguous chunk per domain,
+   stage splits its anti-diagonal into one contiguous chunk per lane,
    of near-equal size and in ascending rank order, so every domain has
    work for as long as the diagonal has ranks to spare; an epilogue
-   pass splits the ranks into contiguous row bands. Domains synchronize
-   only at stage boundaries. Every rank's floats depend only on its own
+   pass splits the ranks into contiguous row bands. There are as many
+   lanes as the caller asks for domains, run on at most as many domains
+   as the host has cores. Domains synchronize only at stage
+   boundaries. Every rank's floats depend only on its own
    perturbation streams and upstream slot values, and collective
    release points are float maxima (associative, order-independent), so
    a run is bitwise identical across domain counts. So is its cell
@@ -45,6 +47,10 @@
    [Obs.Timeline.t] over the wavefront section. *)
 
 open Wgrid
+
+(* Int-only: a polymorphic min/max is a C call and would accept floats. *)
+let min = Int.min
+let max = Int.max
 
 type cell_sink = Obs.Cell_batch.t -> unit
 
@@ -428,12 +434,18 @@ end
 
 (* A persistent spinning worker pool: stages are short (one diagonal,
    one epilogue pass), so parked-thread wakeups would dominate; workers
-   spin on an epoch counter with [Domain.cpu_relax] instead. Publication
-   of the job closure happens before the epoch store, so the atomic
-   acquire on the worker side orders the plain read after it. *)
+   spin on an epoch counter with [Domain.cpu_relax] instead. A stage has
+   [lanes] lanes, but the pool never runs more domains than
+   [Domain.recommended_domain_count ()]: a spinning domain the cores
+   cannot hold makes every barrier wait for its next time slice. Of [w]
+   domains, the calling one being domain 0, domain i runs lanes i,
+   i + w, ... in turn. Publication of the job closure happens before the
+   epoch store, so the atomic acquire on the worker side orders the
+   plain read after it. *)
 module Pool = struct
   type pool = {
-    n : int;
+    lanes : int;
+    w : int;  (* domains running the lanes, the calling one included *)
     job : (int -> unit) ref;
     epoch : int Atomic.t;
     finished : int Atomic.t;
@@ -441,6 +453,15 @@ module Pool = struct
     error : exn option Atomic.t;
     mutable workers : unit Domain.t list;
   }
+
+  (* Domain [idx]'s lanes of one stage. An exception ends them and
+     fails the stage. *)
+  let run_lanes p f idx =
+    try
+      for m = 0 to (p.lanes - 1 - idx) / p.w do
+        f (idx + (m * p.w))
+      done
+    with e -> ignore (Atomic.compare_and_set p.error None (Some e))
 
   let worker p idx =
     let seen = ref 0 in
@@ -452,17 +473,16 @@ module Pool = struct
       if Atomic.get p.stop then running := false
       else begin
         seen := Atomic.get p.epoch;
-        (try !(p.job) idx
-         with e ->
-           ignore (Atomic.compare_and_set p.error None (Some e)));
+        run_lanes p !(p.job) idx;
         Atomic.incr p.finished
       end
     done
 
-  let create n =
+  let create lanes =
     let p =
       {
-        n;
+        lanes;
+        w = min lanes (Domain.recommended_domain_count ());
         job = ref (fun _ -> ());
         epoch = Atomic.make 0;
         finished = Atomic.make 0;
@@ -471,20 +491,22 @@ module Pool = struct
         workers = [];
       }
     in
-    if n > 1 then
+    if p.w > 1 then
       p.workers <-
-        List.init (n - 1) (fun i -> Domain.spawn (fun () -> worker p (i + 1)));
+        List.init (p.w - 1) (fun i -> Domain.spawn (fun () -> worker p (i + 1)));
     p
 
   let run p f =
-    if p.n = 1 then f 0
+    if p.w = 1 then
+      for k = 0 to p.lanes - 1 do
+        f k
+      done
     else begin
       p.job := f;
       Atomic.set p.finished 0;
       Atomic.incr p.epoch;
-      (try f 0
-       with e -> ignore (Atomic.compare_and_set p.error None (Some e)));
-      while Atomic.get p.finished < p.n - 1 do
+      run_lanes p f 0;
+      while Atomic.get p.finished < p.w - 1 do
         Domain.cpu_relax ()
       done;
       match Atomic.get p.error with
@@ -549,21 +571,20 @@ let make_state ~perturb ~recover ~obs ~cells ~lanes ~costs pg
   let rows = pg.Proc_grid.rows and cols = pg.Proc_grid.cols in
   let ntiles = cfg.Program.tiling.Program.ntiles in
   let nsweeps = List.length (Sweeps.Schedule.sweeps cfg.Program.schedule) in
-  (* One locality probe per grid link at setup; the tile loop then never
-     touches the node-rectangle arithmetic. *)
+  (* One locality probe per grid link at setup, which sets the on-chip
+     bit of both its ends; the tile loop then never touches the
+     node-rectangle arithmetic. *)
   let loc_bits = Bytes.make (ranks * 4) '\000' in
+  let link axis2 rank peer =
+    match Costs.locality costs ~src:rank ~dst:peer with
+    | Loggp.Comm_model.On_chip ->
+        Bytes.set loc_bits ((rank * 4) + axis2) '\001';
+        Bytes.set loc_bits ((peer * 4) + axis2 + 1) '\001'
+    | Off_node -> ()
+  in
   for rank = 0 to ranks - 1 do
-    let i, j = Proc_grid.coords pg rank in
-    let set d peer =
-      match Costs.locality costs ~src:rank ~dst:peer with
-      | Loggp.Comm_model.On_chip ->
-          Bytes.set loc_bits ((rank * 4) + d) '\001'
-      | Off_node -> ()
-    in
-    if i < cols then set 0 (rank + 1);
-    if i > 1 then set 1 (rank - 1);
-    if j < rows then set 2 (rank + cols);
-    if j > 1 then set 3 (rank - cols)
+    if rank mod cols < cols - 1 then link 0 rank (rank + 1);
+    if rank / cols < rows - 1 then link 2 rank (rank + cols)
   done;
   let per_link f =
     [|

@@ -5,7 +5,7 @@
     advance per step over flat preallocated structure-of-arrays (per-rank
     virtual clocks, per-slot delivery timestamps), optionally sharded
     across OCaml 5 domains: each diagonal is split into near-equal
-    contiguous chunks, one per domain, and each epilogue pass into row
+    contiguous chunks, one per lane, and each epilogue pass into row
     bands, with synchronization only at those stage boundaries. Its
     timeline is the analytic term schedule every report compares
     observed runs against.
@@ -70,10 +70,14 @@ val run :
   Wavefront_core.App_params.t ->
   outcome
 (** Evaluate the program on every rank. [domains] (default 1, clamped
-    to the grid's row count) shards the work across that many OCaml 5
-    domains: every wavefront stage splits its anti-diagonal into
-    [domains] contiguous chunks of near-equal size in ascending rank
-    order, and every epilogue pass splits the ranks into row bands.
+    to the grid's row count) is the number of lanes each stage is split
+    into: every wavefront stage splits its anti-diagonal into [domains]
+    contiguous chunks of near-equal size in ascending rank order, and
+    every epilogue pass splits the ranks into [domains] row bands. The
+    lanes run on at most [Domain.recommended_domain_count ()] OCaml 5
+    domains, the calling one included; with fewer domains than lanes,
+    domain i runs lanes i, i + w, ... of [w] domains in turn, because a
+    spinning domain the cores cannot hold stalls every stage barrier.
     Results are bitwise identical for every domain count — collective
     release points are associative float maxima and each rank's
     perturbation stream is its own. [obs] attaches a span

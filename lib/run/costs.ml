@@ -74,10 +74,18 @@ let bus_ew t = t.bus_ew
 let bus_ns t = t.bus_ns
 let model_bus t = t.bus_ew > 0.0 || t.bus_ns > 0.0
 
-(* Same node iff same Cmp rectangle — the mapping Machine uses. *)
+(* Same node iff same Cmp rectangle — the mapping Machine uses: the
+   0-based coordinates x = rank mod cols and y = rank / cols agree in
+   x / cx and in y / cy. Integer arithmetic only, so the batched engine
+   can probe every link at set-up without allocating. *)
 let locality t ~src ~dst : Loggp.Comm_model.locality =
-  let node r = Cmp.node_of t.cmp (Proc_grid.coords t.pg r) in
-  if node src = node dst then On_chip else Off_node
+  let cols = t.pg.Proc_grid.cols and cores = Proc_grid.cores t.pg in
+  if src < 0 || src >= cores || dst < 0 || dst >= cores then
+    invalid_arg "Costs.locality: bad rank";
+  let cx = t.cmp.Cmp.cx and cy = t.cmp.Cmp.cy in
+  if src mod cols / cx = dst mod cols / cx && src / cols / cy = dst / cols / cy
+  then On_chip
+  else Off_node
 
 (* Mirror of Mpi_sim's uncontended protocol mechanics (bus off):
    [send_busy] is how long the sender's clock advances inside the send,

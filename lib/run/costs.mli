@@ -52,6 +52,10 @@ val model_bus : t -> bool
 (** Whether any bus interference term is non-zero. *)
 
 val locality : t -> src:int -> dst:int -> Loggp.Comm_model.locality
+(** [On_chip] iff ranks [src] and [dst] lie in the same {!Wgrid.Cmp}
+    node rectangle of the processor grid ({!Wgrid.Cmp.same_node} on
+    their coordinates), decided with integer arithmetic alone. Raises
+    [Invalid_argument] if either rank is off the grid. *)
 
 val send_busy : t -> src:int -> dst:int -> int -> float
 (** Time the sender's clock advances inside a send of this many bytes. *)

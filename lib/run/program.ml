@@ -15,6 +15,11 @@
 
 open Wgrid
 
+(* Int-only: a polymorphic min/max is a C call and would accept floats.
+   [max] is unused here; it is bound so that no generic one creeps in. *)
+let min = Int.min
+let max = Int.max [@@warning "-32"]
+
 (* Downstream x/y direction of a sweep, by origin corner: a sweep flows
    away from its origin in both dimensions. *)
 let flow_xy (pg : Proc_grid.t) corner =
@@ -30,21 +35,24 @@ let flow pg (s : Sweeps.Schedule.sweep) =
    real-valued (Sweep3D's mk*mmi/mmo need not be integral), so the plane
    count of tile [t] comes from the cumulative boundaries: tile t covers
    planes [ceil(t*htile), ceil((t+1)*htile)). For integral Htile this is
-   exactly the familiar "htile planes per tile, short last tile". *)
+   exactly the familiar "htile planes per tile, short last tile". The
+   heights are computed once, when the tiling is built, so the tile loop
+   reads an int array instead of redoing the float arithmetic per tile. *)
 type tiling = { ntiles : int; h_of : int -> int }
+
+let of_heights hs = { ntiles = Array.length hs; h_of = (fun t -> hs.(t)) }
 
 let tiling ~nz ~htile =
   if htile <= 0.0 then invalid_arg "Program.tiling: htile must be > 0";
-  let ntiles = Tile.ntiles_int ~nz ~htile in
   let bound t = min nz (int_of_float (Float.ceil (htile *. float_of_int t))) in
-  { ntiles; h_of = (fun t -> bound (t + 1) - bound t) }
+  of_heights
+    (Array.init (Tile.ntiles_int ~nz ~htile) (fun t -> bound (t + 1) - bound t))
 
 let tiling_int ~nz ~htile =
   if htile < 1 then invalid_arg "Program.tiling_int: htile must be >= 1";
-  {
-    ntiles = (nz + htile - 1) / htile;
-    h_of = (fun t -> min htile (nz - (t * htile)));
-  }
+  of_heights
+    (Array.init ((nz + htile - 1) / htile) (fun t ->
+         min htile (nz - (t * htile))))
 
 type config = {
   pg : Proc_grid.t;

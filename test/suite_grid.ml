@@ -193,6 +193,37 @@ let test_nodes_for () =
   Alcotest.(check int) "quad-core" 16 (Cmp.nodes_for g (Cmp.v ~cx:2 ~cy:2));
   Alcotest.(check int) "uneven" 6 (Cmp.nodes_for (Proc_grid.v ~cols:3 ~rows:5) (Cmp.v ~cx:2 ~cy:2))
 
+(* The batched engine's locality rule, integer arithmetic on 0-based
+   rank coordinates, against the node mapping on every link of grids
+   whose sides are not all multiples of the node rectangle. *)
+let test_costs_locality () =
+  let app = Apps.Sweep3d.params (Data_grid.cube 12) in
+  List.iter
+    (fun (cols, rows) ->
+      let pg = Proc_grid.v ~cols ~rows in
+      List.iter
+        (fun cpn ->
+          let cmp = Cmp.of_cores_per_node cpn in
+          let costs = Wrun.Costs.loggp ~cmp Loggp.Params.xt4 pg app in
+          for src = 0 to Proc_grid.cores pg - 1 do
+            let a = Proc_grid.coords pg src in
+            List.iter
+              (fun d ->
+                let b = Cmp.neighbor d a in
+                if Proc_grid.contains pg b then begin
+                  let dst = Proc_grid.rank pg b in
+                  Alcotest.(check bool)
+                    (Fmt.str "%dx%d, %d cores/node: %d -> %d" cols rows cpn
+                       src dst)
+                    (Cmp.same_node cmp a b)
+                    (Wrun.Costs.locality costs ~src ~dst
+                    = Loggp.Comm_model.On_chip)
+                end)
+              Cmp.all_dirs
+          done)
+        [ 1; 2; 4; 8; 16 ])
+    [ (7, 5); (9, 4); (6, 1); (1, 6) ]
+
 let prop_locality_symmetric =
   QCheck.Test.make ~name:"E/W and N/S localities are symmetric" ~count:200
     QCheck.(
@@ -250,6 +281,8 @@ let suite =
         Alcotest.test_case "Table 6 rules" `Quick test_table6_rules;
         Alcotest.test_case "of_cores_per_node" `Quick test_of_cores_per_node;
         Alcotest.test_case "nodes_for" `Quick test_nodes_for;
+        Alcotest.test_case "Costs.locality is same_node" `Quick
+          test_costs_locality;
       ] );
     ("grid.properties", props);
   ]
