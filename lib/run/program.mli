@@ -15,16 +15,18 @@ val flow : Proc_grid.t -> Sweeps.Schedule.sweep -> int * int * int
 
 type tiling = { ntiles : int; h_of : int -> int }
 (** How a rank's Nz-plane stack is cut: [ntiles] tiles, tile [t] holding
-    [h_of t] planes. *)
+    [h_of t] planes, for [t] in [[0, ntiles)]. *)
 
 val tiling : nz:int -> htile:float -> tiling
 (** The model's convention: [ceil (nz / htile)] tiles with cumulative
-    real-valued boundaries (Table 3's Htile may be fractional). *)
+    real-valued boundaries (Table 3's Htile may be fractional). Every
+    tile's plane count is computed here, once; [h_of] only reads it, so
+    the tile loop does no float arithmetic for it. *)
 
 val tiling_int : nz:int -> htile:int -> tiling
 (** The executable kernels' convention: [htile] whole planes per tile,
     short last tile — {!Kernels.Transport}'s layout. Equal to {!tiling}
-    when [htile] is integral. *)
+    when [htile] is integral, and likewise computed once. *)
 
 type config = {
   pg : Proc_grid.t;
