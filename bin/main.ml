@@ -1332,13 +1332,14 @@ type alloc_target = {
 
 (* Measured at 13,597 minor words per 256-rank sweep3d run (32,768
    rank-tiles in 2,048 rank-sweep segments), all of it per run or per
-   stage: the per-rank state arrays, one closure per pool stage and the
-   epilogue's op queues. The per-link locality probe, the tile loop and
-   the segments allocate nothing. The ratchet pins 20k (47% headroom): a
-   locality probe that builds coordinate tuples and a closure per rank
-   adds 17,666 words and trips it, as does a 4-word position record per
-   tile (131,072), resume positions, flow tuples or closures built per
-   segment; per-op boxing would add millions of words. *)
+   stage: the per-rank state arrays, one closure per pool stage, the
+   epilogue's op queues and the outcome's float folds, which box. The
+   per-link locality probe, the tile loop and the segments allocate
+   nothing. The ratchet pins 20k (47% headroom): a locality probe that
+   builds coordinate tuples and a closure per rank adds 17,666 words and
+   trips it, as does a 4-word position record per tile (131,072),
+   resume positions, flow tuples or closures built per segment; per-op
+   boxing would add millions of words. *)
 let batched_run_budget = 20_000.0
 
 (* The setup both full-run targets share: Sweep3D 32^3 on 256 ranks,
@@ -1355,14 +1356,12 @@ let batched_run_setup () =
 (* The same run streaming into a [Timeline_stream] sink, measured at
    13,604 minor words: the 33,024 cells (one per (rank, column)) reach
    the sink in flat per-lane batches and are folded in place, so the
-   stream adds nothing per cell to the [batched-run] words, which are
-   the per-rank state arrays, one closure per pool stage and the
-   epilogue's op queues. The ratchet pins 20k (47% headroom): the
-   allocating locality probe (17,666 words) trips it, as do a cell
-   record per (rank, column) (24 words a cell, 792,576), a logging
-   helper that boxes a cell's six floats (12 words a cell), building
-   span argument lists without a tracer, or boxing the per-op cell
-   bookkeeping. *)
+   stream adds nothing per cell to the [batched-run] words. The ratchet
+   pins 20k (47% headroom): the allocating locality probe (17,666
+   words) trips it, as do a cell record per (rank, column) (24 words a
+   cell, 792,576), a logging helper that boxes a cell's six floats (12
+   words a cell), building span argument lists without a tracer, or
+   boxing the per-op cell bookkeeping. *)
 let batched_stream_budget = 20_000.0
 
 let alloc_targets =

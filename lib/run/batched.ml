@@ -493,7 +493,8 @@ module Pool = struct
     in
     if p.w > 1 then
       p.workers <-
-        List.init (p.w - 1) (fun i -> Domain.spawn (fun () -> worker p (i + 1)));
+        List.init (p.w - 1) (fun i ->
+            Domain.spawn (fun () -> worker p (i + 1)));
     p
 
   let run p f =
