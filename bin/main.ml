@@ -184,10 +184,6 @@ let or_rank_ceiling f =
   with Xtsim.Wavefront_sim.Rank_ceiling _ as e ->
     usage_error "%s" (Printexc.to_string e)
 
-let waves_of (app : App_params.t) =
-  Sweeps.Schedule.nsweeps app.schedule
-  * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-
 (* --- Observability context: --metrics-out / --ledger, every subcommand --- *)
 
 (* Parsed once per invocation; the start-of-run runtime sample is taken
@@ -397,7 +393,7 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
          dense grid is out of reach at the rank counts this engine is
          for. *)
       let stream =
-        Obs.Timeline_stream.create ~ranks:cores ~waves:(waves_of app) ()
+        Obs.Timeline_stream.create ~ranks:cores ~waves:(App_params.waves app) ()
       in
       let o =
         Wrun.Batched.run ~cells:(Obs.Timeline_stream.sink stream) ~domains
@@ -782,11 +778,8 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     | Some k -> k
     | None ->
         let r = Plugplay.iteration app cfg in
-        let waves =
-          Sweeps.Schedule.nsweeps app.schedule
-          * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-        in
-        Perturb.Recover.optimal_interval ~waves ~wave_cost:(r.w +. r.w_pre)
+        Perturb.Recover.optimal_interval ~waves:(App_params.waves app)
+          ~wave_cost:(r.w +. r.w_pre)
           ~failures:(List.length pspec.failures) ~ckpt_cost
   in
   let policy = Perturb.Recover.v ~ckpt_cost ~restart_cost interval in
@@ -1330,17 +1323,18 @@ type alloc_target = {
           measured window and returns the unit of work *)
 }
 
-(* Measured at 13,597 minor words per 256-rank sweep3d run (32,768
+(* Measured at 9,486 minor words per 256-rank sweep3d run (32,768
    rank-tiles in 2,048 rank-sweep segments), all of it per run or per
-   stage: the per-rank state arrays, one closure per pool stage, the
-   epilogue's op queues and the outcome's float folds, which box. The
-   per-link locality probe, the tile loop and the segments allocate
-   nothing. The ratchet pins 20k (47% headroom): a locality probe that
-   builds coordinate tuples and a closure per rank adds 17,666 words and
-   trips it, as does a 4-word position record per tile (131,072),
+   stage: the per-rank state arrays and one closure per pool stage. The
+   per-link locality probe, the tile loop, the segments, the epilogue's
+   passes and the outcome's folds allocate nothing per rank. The ratchet
+   pins 12k (26% headroom): per-rank epilogue op queues with boxing
+   float folds in the outcome measured 13,597 words and trip it, as do
+   a locality probe that builds coordinate tuples and a closure per rank
+   (17,666 words more), a 4-word position record per tile (131,072),
    resume positions, flow tuples or closures built per segment; per-op
    boxing would add millions of words. *)
-let batched_run_budget = 20_000.0
+let batched_run_budget = 12_000.0
 
 (* The setup both full-run targets share: Sweep3D 32^3 on 256 ranks,
    single-core nodes, bus off. *)
@@ -1354,15 +1348,16 @@ let batched_run_setup () =
   (app, pg, costs)
 
 (* The same run streaming into a [Timeline_stream] sink, measured at
-   13,604 minor words: the 33,024 cells (one per (rank, column)) reach
+   9,493 minor words: the 33,024 cells (one per (rank, column)) reach
    the sink in flat per-lane batches and are folded in place, so the
    stream adds nothing per cell to the [batched-run] words. The ratchet
-   pins 20k (47% headroom): the allocating locality probe (17,666
-   words) trips it, as do a cell record per (rank, column) (24 words a
-   cell, 792,576), a logging helper that boxes a cell's six floats (12
-   words a cell), building span argument lists without a tracer, or
-   boxing the per-op cell bookkeeping. *)
-let batched_stream_budget = 20_000.0
+   pins 12k (26% headroom): the epilogue's per-rank op queues with the
+   outcome's boxing folds (13,604 words) trip it, as do the allocating
+   locality probe (17,666 words more), a cell record per (rank, column)
+   (24 words a cell, 792,576), a logging helper that boxes a cell's six
+   floats (12 words a cell), building span argument lists without a
+   tracer, or boxing the per-op cell bookkeeping. *)
+let batched_stream_budget = 12_000.0
 
 let alloc_targets =
   [
@@ -1416,7 +1411,7 @@ let alloc_targets =
           let app, pg, costs = batched_run_setup () in
           let st =
             Obs.Timeline_stream.create ~ranks:(Wgrid.Proc_grid.cores pg)
-              ~waves:(waves_of app) ()
+              ~waves:(App_params.waves app) ()
           in
           fun () ->
             ignore

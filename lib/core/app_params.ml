@@ -59,6 +59,12 @@ let with_grid t grid = { t with grid }
 let with_wg t wg = { t with wg }
 let counts t = Sweeps.Schedule.counts t.schedule
 
+(* One wave per tile step of every sweep: the timeline's wave columns per
+   iteration under the model's tiling. *)
+let waves t =
+  Sweeps.Schedule.nsweeps t.schedule
+  * Tile.ntiles_int ~nz:t.grid.Data_grid.nz ~htile:t.htile
+
 (* Message sizes in bytes on a given processor grid (Table 3's MessageSize
    rows): the east/west face is Ny/m cells wide, the north/south face Nx/n,
    both Htile cells high. *)

@@ -51,6 +51,11 @@ val with_wg : t -> float -> t
 val counts : t -> Sweeps.Schedule.counts
 (** The schedule's [nsweeps], [nfull], [ndiag] (Table 3). *)
 
+val waves : t -> int
+(** Tile steps per rank per iteration, [nsweeps * ceil (Nz / Htile)]: the
+    timeline's wave columns and the checkpoint clock's waves per
+    iteration under the model's tiling. *)
+
 val message_size_ew : t -> Proc_grid.t -> int
 (** [MessageSize_EW = bytes_per_cell_ew * Htile * Ny/m] in bytes, rounded
     up. *)

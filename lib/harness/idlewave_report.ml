@@ -29,10 +29,6 @@ type t = {
       (** host-side cost of producing this report, per phase *)
 }
 
-let waves_of (app : App_params.t) =
-  Sweeps.Schedule.nsweeps app.schedule
-  * Wgrid.Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-
 let dash = "-"
 
 (* The fit in the direction the wave actually travelled; the sweep
@@ -43,7 +39,7 @@ let main_fit (d : Obs.Idle_wave.t) =
 let run ?(real = false) ?(model_bus = true) ?(engine = Engine.Event)
     ?(capacity = Obs.Tracer.default_capacity) (cfg : Plugplay.config)
     (app : App_params.t) (spec : Perturb.Spec.t) =
-  let waves = waves_of app in
+  let waves = App_params.waves app in
   (* Host-side runtime cost per stage (no tracer attach: runtime spans
      are wall-clock nondeterministic, the timelines are simulated time). *)
   let phases = Obs.Runtime.phases () in

@@ -229,10 +229,7 @@ let run ?(real = false) ?(capacity = Obs.Tracer.default_capacity)
   in
   (* Wave-resolved view of the same run, and the model's error attributed
      against the analytic term schedule (the batched engine, bus off). *)
-  let waves =
-    Sweeps.Schedule.nsweeps app.schedule
-    * Tile.ntiles_int ~nz:app.grid.nz ~htile:app.htile
-  in
+  let waves = App_params.waves app in
   let timeline =
     Obs.Timeline.of_spans ~dropped:(Obs.Tracer.dropped obs) ~waves sim_spans
   in

@@ -67,9 +67,9 @@ let program_config plan =
     ~msg_ns:(face (Decomp.cells_x plan.grid plan.pg))
     ~htile:(float_of_int plan.htile) ()
 
-(* Genuine elapsed work for the model-time non-wavefront costs (Fixed,
-   Stencil compute): this substrate is the real machine, so a cost in
-   microseconds is spent, not accounted. *)
+(* Genuine elapsed work for the non-wavefront section's local work (a
+   fixed cost, the stencil compute): this substrate is the real machine,
+   so a cost in microseconds is spent, not accounted. *)
 let busy_wait us =
   if us > 0.0 then begin
     let stop = Unix.gettimeofday () +. (us *. 1e-6) in
@@ -152,7 +152,7 @@ module Backend = struct
   let phi t = t.phi
 
   (* Spend an injected delay for real — a perturbed rank is genuinely
-     occupied, like [fixed_work] — and tag it so critical-path reports can
+     occupied, like [local_work] — and tag it so critical-path reports can
      tell absorbed delay from propagated. *)
   let spend t ~rank kind us =
     match t.tracer with
@@ -283,27 +283,16 @@ module Backend = struct
       | None -> ());
       faces
 
-    let fixed_work _ ~rank:_ us = busy_wait us
-
-    let stencil_compute t ~rank:_ ~wg_stencil =
-      busy_wait
-        (wg_stencil
-        *. Decomp.cells_x t.plan.grid t.plan.pg
-        *. Decomp.cells_y t.plan.grid t.plan.pg
-        *. float_of_int t.plan.grid.nz)
+    let local_work _ ~rank:_ us = busy_wait us
 
     (* One direction of a halo round: the faces carry no physics here, so
        ship a zero payload of the model's byte size and discard the
        incoming one. *)
     let halo t ~rank ~dst ~src ~bytes =
-      (match dst with
-      | Some d ->
-          Shmpi.Comm.send t.comm ~src:rank ~dst:d
-            (Array.make (max 1 ((bytes + 7) / 8)) 0.0)
-      | None -> ());
-      match src with
-      | Some s -> ignore (Shmpi.Comm.recv t.comm ~dst:rank ~src:s)
-      | None -> ()
+      if dst >= 0 then
+        Shmpi.Comm.send t.comm ~src:rank ~dst
+          (Array.make (max 1 ((bytes + 7) / 8)) 0.0);
+      if src >= 0 then ignore (Shmpi.Comm.recv t.comm ~dst:rank ~src)
 
     (* A genuine global reduction of the rank's scalar-flux sum (the
        payload real runtimes reduce between iterations); [msg_size] is the
@@ -320,7 +309,6 @@ module Backend = struct
              (Array.fold_left ( +. ) 0.0 t.phi))
       done
 
-    let barrier t ~rank = Shmpi.Comm.barrier_r t.comm ~rank
     let finish _ ~rank:_ = ()
   end
 end

@@ -32,7 +32,10 @@ type failure = {
 
 type pulse = {
   rank : int;
-  wave : int;  (** global wave index, see [Wrun.Program.wave_of] *)
+  wave : int;
+      (** global wave index
+          [((iteration - 1) * nsweeps + sweep) * ntiles + tile], as the
+          [tile_begin] hook of [Wrun.Substrate] receives it *)
   delay : float;  (** the one-shot injected stall, us *)
 }
 (** A single injected delay — the idle-wave source scenario of

@@ -32,14 +32,13 @@
    ascending rank ranges, so the sink sees the exact order of a
    1-domain run, on one domain, and needs no lock.
 
-   The epilogue (non-wavefront section) has cross-rank operations with
-   no static rank order, so it is staged: each rank's epilogue is first
-   executed against a recording substrate that queues its halo /
-   collective calls (charging purely local work immediately), and the
-   queued op lists — congruent across ranks by construction of
-   [Program.epilogue] — are then resolved in lockstep, one op at a
-   time: a halo is an all-sends pass then an all-receives pass; an
-   allreduce releases every arrival at the maximum entry clock.
+   The epilogue (non-wavefront section) is a list of operations in the
+   program's configuration, the same for every rank, so the engine
+   resolves it op by op across all ranks, each op in banded passes:
+   local work is one charging pass; a halo is an all-sends pass then an
+   all-receives pass; an all-reduce releases every arrival at the
+   maximum entry clock. This backend therefore implements only the
+   tile-loop hooks ([Substrate.TILE_LOOP]).
 
    Span naming and perturbation draw order replicate the event-level
    simulator operation for operation, so with single-core nodes and the
@@ -59,12 +58,6 @@ type cell_sink = Obs.Cell_batch.t -> unit
 exception Stuck_on of { rank : int; src : int }
 
 type status = Alive | Done | Failed | Blocked_recv of int | Blocked_coll
-
-(* A queued epilogue operation (congruent across ranks). *)
-type eop =
-  | Ehalo of { dst : int option; src : int option; bytes : int }
-  | Eallreduce of { count : int; msg_size : int }
-  | Ebarrier
 
 type bucket = Bcompute | Bsend | Brecv | Bother
 
@@ -133,11 +126,10 @@ type t = {
   acc_recv : float array;
   acc_wait : float array;
   acc_spans : int array;
-  (* --- staged epilogue --- *)
-  recording : bool ref;  (* halo/collective hooks queue instead *)
-  eops : eop list array;  (* reversed op queue, per rank *)
-  eop_t0 : float array;  (* clock at the current op's start *)
-  halo_dlv : float array;  (* per-receiver delivery slot for one halo op *)
+  (* --- epilogue passes --- *)
+  op_t0 : float array;  (* clock at the current op's start *)
+  halo_dlv : float array;
+      (* per-receiver delivery slot for one halo op; NaN between ops *)
 }
 
 (* --- spans and cells --- *)
@@ -401,33 +393,6 @@ module Backend = struct
         Perturb.Model.tile_begin m ~rank ~wave:gwave
           (spend t ~rank ~col:(wave t ~rank ~tile))
 
-  let fixed_work t ~rank d =
-    if d > 0.0 then
-      charge t ~rank ~name:"compute" ~cat:"compute" ~col:t.cols
-        ~bucket:Bcompute ~args:epilogue_args d
-
-  let stencil_compute t ~rank ~wg_stencil =
-    let d = Costs.stencil t.costs ~wg_stencil in
-    if d > 0.0 then
-      charge t ~rank ~name:"compute" ~cat:"compute" ~col:t.cols
-        ~bucket:Bcompute ~args:epilogue_args d
-
-  (* The cross-rank epilogue operations are queued during the recording
-     pass and resolved by the staged driver below; [Program.epilogue]
-     guarantees every rank queues a congruent sequence. *)
-  let halo t ~rank ~dst ~src ~bytes =
-    assert !(t.recording);
-    t.eops.(rank) <- Ehalo { dst; src; bytes } :: t.eops.(rank)
-
-  let allreduce t ~rank ~count ~msg_size =
-    assert !(t.recording);
-    t.eops.(rank) <- Eallreduce { count; msg_size } :: t.eops.(rank)
-
-  let barrier t ~rank =
-    assert !(t.recording);
-    t.eops.(rank) <- Ebarrier :: t.eops.(rank)
-
-  let finish t ~rank = t.finish.(rank) <- t.clock.(rank)
 end
 
 (* --- the domain pool --- *)
@@ -561,7 +526,7 @@ let pp_outcome ppf (o : outcome) =
 
 (* --- the driver --- *)
 
-let substrate : (t, int) Substrate.s = (module Backend)
+let substrate : (t, int) Substrate.tile_loop = (module Backend)
 
 (* Build the flat engine state for one program configuration; shared by
    [run] and the [Steady] telemetry probe so both exercise the identical
@@ -645,9 +610,7 @@ let make_state ~perturb ~recover ~obs ~cells ~lanes ~costs pg
     acc_recv = Array.make ranks 0.0;
     acc_wait = Array.make ranks 0.0;
     acc_spans = Array.make ranks 0;
-    recording = ref false;
-    eops = Array.make ranks [];
-    eop_t0 = Array.make ranks 0.0;
+    op_t0 = Array.make ranks 0.0;
     halo_dlv = Array.make ranks nan;
   }
 
@@ -698,7 +661,59 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           f lane rank
         done)
   in
-  (* --- staged epilogue resolution --- *)
+  (* --- the epilogue, resolved op by op across all ranks --- *)
+  let local_work d =
+    if d > 0.0 then
+      each_banded (fun lane rank ->
+          if alive rank then
+            charge lane ~rank ~name:"compute" ~cat:"compute" ~col:t.cols
+              ~bucket:Bcompute ~args:epilogue_args d)
+  in
+  let halo ~dx ~dy ~bytes =
+    (* Pass 1: every live rank stamps its op start and performs its send
+       (delivery computed from the sender's clock alone). *)
+    each_banded (fun _ rank ->
+        if alive rank then begin
+          t.op_t0.(rank) <- t.clock.(rank);
+          let dst = Program.peer cfg rank ~dx ~dy in
+          if dst >= 0 then begin
+            let t0 = t.clock.(rank) in
+            t.clock.(rank) <-
+              t0 +. Costs.send_busy t.costs ~src:rank ~dst bytes;
+            t.halo_dlv.(dst) <-
+              t.clock.(rank) +. Costs.in_flight t.costs ~src:rank ~dst bytes;
+            t.sent.(rank) <- t.sent.(rank) + 1
+          end
+        end);
+    (* Pass 2: every live rank receives (or gets stuck on a missing
+       delivery) and emits the whole op's span; every slot goes back to
+       NaN for the next halo op. *)
+    each_banded (fun lane rank ->
+        (if alive rank then
+           let src = Program.peer cfg rank ~dx:(-dx) ~dy:(-dy) in
+           let delivered = t.halo_dlv.(rank) in
+           if src >= 0 && Float.is_nan delivered then
+             t.status.(rank) <- Blocked_recv src
+           else begin
+             if src >= 0 then begin
+               let t0 = t.clock.(rank) in
+               let wait = Float.max 0.0 (delivered -. t0) in
+               t.clock.(rank) <-
+                 t0 +. wait +. Costs.recv_overhead t.costs ~src ~dst:rank;
+               t.rcvd.(rank) <- t.rcvd.(rank) + 1
+             end;
+             if src >= 0 || Program.peer cfg rank ~dx ~dy >= 0 then begin
+               let t0 = t.op_t0.(rank) in
+               if Backend.traced t then
+                 emit t ~rank ~name:"halo" ~cat:"comm" ~start:t0
+                   (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
+                   :: epilogue_args);
+               cell_note lane ~rank ~col:t.cols ~t0
+                 ~dur:(t.clock.(rank) -. t0) ~bucket:Bother ~wait:0.0
+             end
+           end);
+        t.halo_dlv.(rank) <- nan)
+  in
   let all_present () =
     let ok = ref true in
     for rank = 0 to ranks - 1 do
@@ -706,68 +721,18 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     done;
     !ok
   in
-  let resolve_halo ~dst ~bytes_of ~src_of =
-    (* Pass 1: every live rank stamps its op start and performs its send
-       (delivery computed from the sender's clock alone). *)
-    each_banded (fun _ rank -> t.halo_dlv.(rank) <- nan);
-    each_banded (fun _ rank ->
-        if alive rank then begin
-          t.eop_t0.(rank) <- t.clock.(rank);
-          match dst rank with
-          | Some d ->
-              let bytes = bytes_of rank in
-              let t0 = t.clock.(rank) in
-              t.clock.(rank) <-
-                t0 +. Costs.send_busy t.costs ~src:rank ~dst:d bytes;
-              t.halo_dlv.(d) <-
-                t.clock.(rank)
-                +. Costs.in_flight t.costs ~src:rank ~dst:d bytes;
-              t.sent.(rank) <- t.sent.(rank) + 1
-          | None -> ()
-        end);
-    (* Pass 2: every live rank receives (or gets stuck on a missing
-       delivery) and emits the whole op's span. *)
-    each_banded (fun lane rank ->
-        if alive rank then begin
-          let stuck = ref false in
-          (match src_of rank with
-          | Some s ->
-              let t0 = t.clock.(rank) in
-              let delivered = t.halo_dlv.(rank) in
-              if Float.is_nan delivered then begin
-                t.status.(rank) <- Blocked_recv s;
-                stuck := true
-              end
-              else begin
-                let wait = Float.max 0.0 (delivered -. t0) in
-                t.clock.(rank) <-
-                  t0 +. wait +. Costs.recv_overhead t.costs ~src:s ~dst:rank;
-                t.rcvd.(rank) <- t.rcvd.(rank) + 1
-              end
-          | None -> ());
-          if (not !stuck) && (dst rank <> None || src_of rank <> None)
-          then begin
-            let t0 = t.eop_t0.(rank) in
-            if Backend.traced t then
-              emit t ~rank ~name:"halo" ~cat:"comm" ~start:t0
-                (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
-                :: epilogue_args);
-            cell_note lane ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
-              ~bucket:Bother ~wait:0.0
-          end
-        end)
-  in
-  let resolve_collective ~name ~collnoise ~count ~cost =
+  let allreduce ~count ~msg_size =
+    let cost = Costs.allreduce t.costs ~count:1 ~msg_size in
     (* Entry: charge the collective-noise stall (one draw per call, as
        in the fiber substrates) and record the entry clock. *)
     each_banded (fun lane rank ->
         if alive rank then begin
-          (match (collnoise, t.model) with
-          | true, Some m ->
+          (match t.model with
+          | Some m ->
               Perturb.Model.before_allreduce m ~rank
                 (spend lane ~rank ~col:t.cols)
-          | _ -> ());
-          t.eop_t0.(rank) <- t.clock.(rank)
+          | None -> ());
+          t.op_t0.(rank) <- t.clock.(rank)
         end);
     if not (all_present ()) then
       (* A dead or stuck rank never arrives, so the rendezvous never
@@ -784,16 +749,16 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           let lo, hi = band k in
           let m = ref neg_infinity in
           for rank = lo to hi - 1 do
-            m := Float.max !m t.eop_t0.(rank)
+            m := Float.max !m t.op_t0.(rank)
           done;
           partial.(k) <- !m);
       let release = Array.fold_left Float.max neg_infinity partial in
       each_banded (fun lane rank ->
           if alive rank then begin
-            let t0 = t.eop_t0.(rank) in
+            let t0 = t.op_t0.(rank) in
             t.clock.(rank) <- release +. (float_of_int count *. cost);
             if Backend.traced t then
-              emit t ~rank ~name ~cat:"comm" ~start:t0
+              emit t ~rank ~name:"allreduce" ~cat:"comm" ~start:t0
                 (("wait", Obs.Span.Float (t.clock.(rank) -. t0))
                 :: epilogue_args);
             cell_note lane ~rank ~col:t.cols ~t0 ~dur:(t.clock.(rank) -. t0)
@@ -801,65 +766,27 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
           end)
     end
   in
-  let run_epilogue ~iter:_ =
-    match cfg.Program.nonwavefront with
-    | Wavefront_core.App_params.No_op -> ()
-    | _ ->
-        (* Close each live rank's last wavefront cell here, on the
-           calling domain in rank order: it ends at the rank's clock,
-           where its first epilogue span starts. Closed by that span
-           inside a pass instead, one cell per rank would pile up in the
-           logs before the drain. *)
-        if t.sink != None then
-          for rank = 0 to ranks - 1 do
-            if alive rank then begin
-              close_cell t ~rank ~t_end:t.clock.(rank);
-              drain t
-            end
-          done;
-        t.recording := true;
-        each_banded (fun lane rank ->
-            if alive rank then begin
-              t.eops.(rank) <- [];
-              Program.epilogue substrate lane cfg rank
-            end);
-        t.recording := false;
-        (* The op sequences are congruent across ranks; read the shape
-           from any live rank and resolve op by op. *)
-        let shape = ref [] in
-        (try
-           for rank = 0 to ranks - 1 do
-             if alive rank then begin
-               shape := List.rev t.eops.(rank);
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        List.iteri
-          (fun k op ->
-            let op_of rank = List.nth (List.rev t.eops.(rank)) k in
-            match op with
-            | Ehalo _ ->
-                resolve_halo
-                  ~dst:(fun rank ->
-                    match op_of rank with
-                    | Ehalo { dst; _ } -> dst
-                    | _ -> None)
-                  ~bytes_of:(fun rank ->
-                    match op_of rank with
-                    | Ehalo { bytes; _ } -> bytes
-                    | _ -> 0)
-                  ~src_of:(fun rank ->
-                    match op_of rank with
-                    | Ehalo { src; _ } -> src
-                    | _ -> None)
-            | Eallreduce { count; msg_size } ->
-                resolve_collective ~name:"allreduce" ~collnoise:true ~count
-                  ~cost:(Costs.allreduce t.costs ~count:1 ~msg_size)
-            | Ebarrier ->
-                resolve_collective ~name:"barrier" ~collnoise:false ~count:1
-                  ~cost:(Costs.barrier t.costs))
-          !shape
+  let run_epilogue () =
+    if cfg.epilogue <> [] then begin
+      (* Close each live rank's last wavefront cell here, on the calling
+         domain in rank order: it ends at the rank's clock, where its
+         first epilogue span starts. Closed by that span inside a pass
+         instead, one cell per rank would pile up in the logs before the
+         drain. *)
+      if t.sink != None then
+        for rank = 0 to ranks - 1 do
+          if alive rank then begin
+            close_cell t ~rank ~t_end:t.clock.(rank);
+            drain t
+          end
+        done;
+      List.iter
+        (function
+          | Program.Local_work d -> local_work d
+          | Halo { dx; dy; bytes } -> halo ~dx ~dy ~bytes
+          | Allreduce { count; msg_size } -> allreduce ~count ~msg_size)
+        cfg.epilogue
+    end
   in
   (* --- main loop: sweeps in schedule order, diagonals in flow order --- *)
   Fun.protect
@@ -894,14 +821,14 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
                 done)
           done
         done;
-        run_epilogue ~iter
+        run_epilogue ()
       done;
       (* Completion, on the calling domain in rank order: finish clocks
          for ranks that ran the whole program, cell flush for everyone. *)
       for rank = 0 to ranks - 1 do
         (match t.status.(rank) with
         | Alive ->
-            Backend.finish t ~rank;
+            t.finish.(rank) <- t.clock.(rank);
             t.status.(rank) <- Done
         | _ -> ());
         finish_cells t ~rank
@@ -918,7 +845,15 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     | Alive | Done -> ()
   done;
   let completed = !blocked = [] && !failed = [] in
-  let elapsed = Array.fold_left Float.max 0.0 t.finish in
+  (* One left-to-right pass with local float accumulators: the same bits
+     as folding [Float.max] and [( +. )] over the arrays, without boxing
+     each element and partial result. *)
+  let elapsed = ref 0.0 and bus_wait = ref 0.0 in
+  for rank = 0 to ranks - 1 do
+    elapsed := Float.max !elapsed t.finish.(rank);
+    bus_wait := !bus_wait +. t.bus_acc.(rank)
+  done;
+  let elapsed = !elapsed in
   let sum a = Array.fold_left ( + ) 0 a in
   {
     ranks;
@@ -933,7 +868,7 @@ let run ?(iterations = 1) ?tiling ?perturb ?recover ?obs ?cells
     checkpoints = Option.fold ~none:0 ~some:Perturb.Model.checkpoints t.model;
     messages = sum t.sent;
     orphaned = sum t.sent - sum t.rcvd;
-    bus_wait = Array.fold_left ( +. ) 0.0 t.bus_acc;
+    bus_wait = !bus_wait;
     finish = t.finish;
   }
 

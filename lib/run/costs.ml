@@ -25,9 +25,6 @@ type t = {
   pg : Proc_grid.t;
   w : float;  (** tile compute W = Wg * cells-per-tile, us *)
   w_pre : float;  (** tile pre-compute, us *)
-  cells_x : float;
-  cells_y : float;
-  nz : float;
   bus_ew : float;  (** Table-6 interference per E/W op, us (0 = bus off) *)
   bus_ns : float;  (** Table-6 interference per N/S op, us (0 = bus off) *)
 }
@@ -63,9 +60,6 @@ let loggp ?(model_bus = false) ~cmp (platform : Loggp.Params.t) pg
     pg;
     w = app.wg *. cells;
     w_pre = app.wg_pre *. cells;
-    cells_x = Decomp.cells_x app.grid pg;
-    cells_y = Decomp.cells_y app.grid pg;
-    nz = float_of_int app.grid.Data_grid.nz;
     bus_ew;
     bus_ns;
   }
@@ -144,10 +138,7 @@ let hop_latency t ~src ~dst size =
 
 let steady_period t ~src ~dst size =
   send_busy t ~src ~dst size +. recv_overhead t ~src ~dst +. t.w_pre +. t.w
-let stencil t ~wg_stencil = wg_stencil *. t.cells_x *. t.cells_y *. t.nz
 
 let allreduce t ~count ~msg_size =
   float_of_int count
   *. Loggp.Allreduce.time ~msg_size t.platform ~cores:(Proc_grid.cores t.pg)
-
-let barrier t = Loggp.Allreduce.time ~msg_size:8 t.platform ~cores:(Proc_grid.cores t.pg)

@@ -16,9 +16,6 @@ type t = {
   pg : Proc_grid.t;
   w : float;  (** tile compute W, us *)
   w_pre : float;  (** tile pre-compute, us *)
-  cells_x : float;
-  cells_y : float;
-  nz : float;
   bus_ew : float;  (** Table-6 interference per E/W op, us (0 = bus off) *)
   bus_ns : float;  (** Table-6 interference per N/S op, us (0 = bus off) *)
 }
@@ -88,6 +85,7 @@ val steady_period : t -> src:int -> dst:int -> int -> float
     [hop_latency - in_flight] (the flight is paid once per hop, not per
     wave). The analytic [wave_period] input of [Perturb.Idle_model]. *)
 
-val stencil : t -> wg_stencil:float -> float
 val allreduce : t -> count:int -> msg_size:int -> float
-val barrier : t -> float
+(** [count] eq-9 all-reduces of [msg_size] bytes across the grid's
+    cores. The non-wavefront section's local work comes priced from
+    {!Program.epilogue_op}, so this is its only term here. *)

@@ -354,18 +354,12 @@ module Substrate = struct
   let precompute _ ~rank:_ ~tile:_ = ()
   let sweep_begin _ ~rank:_ ~sweep:_ ~dir:_ = ()
   let tile_begin _ ~rank:_ ~iteration:_ ~sweep:_ ~tile:_ ~wave:_ = ()
-  let fixed_work _ ~rank:_ _ = ()
-  let stencil_compute _ ~rank:_ ~wg_stencil:_ = ()
+  let local_work _ ~rank:_ _ = ()
 
   let halo t ~rank ~dst ~src ~bytes =
-    (match dst with
-    | Some d ->
-        Raw.send t.sched ~src:rank ~dst:d
-          { axis = Substrate.X; tile = -1; bytes }
-    | None -> ());
-    match src with
-    | Some s -> ignore (Raw.recv t.sched ~rank ~src:s)
-    | None -> ()
+    if dst >= 0 then
+      Raw.send t.sched ~src:rank ~dst { axis = Substrate.X; tile = -1; bytes };
+    if src >= 0 then ignore (Raw.recv t.sched ~rank ~src)
 
   (* All-reduces synchronize every rank; their internal message pattern is
      a backend choice, so here each one is simply a full barrier of the
@@ -375,7 +369,6 @@ module Substrate = struct
       Raw.barrier t.sched ~rank
     done
 
-  let barrier t ~rank = Raw.barrier t.sched ~rank
   let finish _ ~rank:_ = ()
 end
 

@@ -4,7 +4,10 @@
    Every rank runs, for each sweep of the schedule and each tile of its
    stack: pre-compute, blocking receive of the two upstream faces, compute
    the tile, send the two downstream faces — then the application's
-   non-wavefront operations at the end of each iteration. The sweep
+   non-wavefront section at the end of each iteration: a list of
+   operations written out once, when the configuration is built, which
+   the blocking substrates perform rank by rank and the batched engine
+   resolves across all ranks, operation by operation. The sweep
    precedence behaviour of Figure 2 (Follow/Diagonal/Full gating) is not
    programmed anywhere: it emerges from the blocking receives and the
    per-sweep origin corners, exactly as in the real codes the paper models.
@@ -54,16 +57,49 @@ let tiling_int ~nz ~htile =
     (Array.init ((nz + htile - 1) / htile) (fun t ->
          min htile (nz - (t * htile))))
 
+(* One operation of the non-wavefront section, as every rank performs
+   it: local work already priced in microseconds, one direction of a halo
+   exchange with the neighbour at (dx, dy), or [count] all-reduces. *)
+type epilogue_op =
+  | Local_work of float
+  | Halo of { dx : int; dy : int; bytes : int }
+  | Allreduce of { count : int; msg_size : int }
+
 type config = {
   pg : Proc_grid.t;
   grid : Data_grid.t;
   schedule : Sweeps.Schedule.t;
-  nonwavefront : Wavefront_core.App_params.nonwavefront;
+  epilogue : epilogue_op list;
   msg_ew : int;
   msg_ns : int;
   tiling : tiling;
   iterations : int;
 }
+
+(* The non-wavefront section of a Table 3 application, written out once.
+   The stencil's halo exchange proceeds one direction at a time — everyone
+   sends east and receives from the west, then the reverse, then the same
+   for south/north — to stay deadlock-free on blocking substrates. *)
+let epilogue_of ~pg ~grid = function
+  | Wavefront_core.App_params.No_op -> []
+  | Fixed us -> [ Local_work us ]
+  | Allreduce { count; msg_size } -> [ Allreduce { count; msg_size } ]
+  | Stencil { wg_stencil; halo_bytes_per_cell } ->
+      let cells_x = Decomp.cells_x grid pg
+      and cells_y = Decomp.cells_y grid pg in
+      let nz = float_of_int grid.Data_grid.nz in
+      let face extent =
+        Decomp.message_size ~bytes_per_cell:halo_bytes_per_cell ~htile:nz
+          ~extent
+      in
+      let ew = face cells_y and ns = face cells_x in
+      [
+        Local_work (wg_stencil *. cells_x *. cells_y *. nz);
+        Halo { dx = 1; dy = 0; bytes = ew };
+        Halo { dx = -1; dy = 0; bytes = ew };
+        Halo { dx = 0; dy = 1; bytes = ns };
+        Halo { dx = 0; dy = -1; bytes = ns };
+      ]
 
 let v ?(iterations = 1) ?tiling:tl ~pg ~grid ~schedule ~nonwavefront ~msg_ew
     ~msg_ns ~htile () =
@@ -71,7 +107,16 @@ let v ?(iterations = 1) ?tiling:tl ~pg ~grid ~schedule ~nonwavefront ~msg_ew
   let tiling =
     match tl with Some t -> t | None -> tiling ~nz:grid.Data_grid.nz ~htile
   in
-  { pg; grid; schedule; nonwavefront; msg_ew; msg_ns; tiling; iterations }
+  {
+    pg;
+    grid;
+    schedule;
+    epilogue = epilogue_of ~pg ~grid nonwavefront;
+    msg_ew;
+    msg_ns;
+    tiling;
+    iterations;
+  }
 
 let of_app ?iterations ?tiling pg (app : Wavefront_core.App_params.t) =
   v ?iterations ?tiling ~pg ~grid:app.grid ~schedule:app.schedule
@@ -80,63 +125,32 @@ let of_app ?iterations ?tiling pg (app : Wavefront_core.App_params.t) =
     ~msg_ns:(Wavefront_core.App_params.message_size_ns app pg)
     ~htile:app.htile ()
 
-(* The non-wavefront section. The halo exchange proceeds one direction at a
-   time — everyone sends east and receives from the west, then the reverse,
-   then the same for north/south — to stay deadlock-free on blocking
-   substrates. *)
-let epilogue_at (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
-    rank (i, j) =
-  match cfg.nonwavefront with
-  | Wavefront_core.App_params.No_op -> ()
-  | Fixed t -> S.fixed_work s ~rank t
-  | Allreduce { count; msg_size } -> S.allreduce s ~rank ~count ~msg_size
-  | Stencil { wg_stencil; halo_bytes_per_cell } ->
-      let pg = cfg.pg in
-      let nz = float_of_int cfg.grid.Data_grid.nz in
-      S.stencil_compute s ~rank ~wg_stencil;
-      let face extent =
-        Decomp.message_size ~bytes_per_cell:halo_bytes_per_cell ~htile:nz
-          ~extent
-      in
-      let ew = face (Decomp.cells_y cfg.grid pg) in
-      let ns = face (Decomp.cells_x cfg.grid pg) in
-      let exchange (di, dj) bytes =
-        let neighbour p =
-          if Proc_grid.contains pg p then Some (Proc_grid.rank pg p) else None
-        in
-        S.halo s ~rank
-          ~dst:(neighbour (i + di, j + dj))
-          ~src:(neighbour (i - di, j - dj))
-          ~bytes
-      in
-      exchange (1, 0) ew;
-      exchange (-1, 0) ew;
-      exchange (0, 1) ns;
-      exchange (0, -1) ns
+(* The rank at (dx, dy) from [rank] on the processor grid, -1 off it. *)
+let peer cfg rank ~dx ~dy =
+  let cols = cfg.pg.Proc_grid.cols and rows = cfg.pg.Proc_grid.rows in
+  let i = (rank mod cols) + dx and j = (rank / cols) + dy in
+  if i >= 0 && i < cols && j >= 0 && j < rows then rank + dx + (dy * cols)
+  else -1
 
 let epilogue (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg rank
     =
-  epilogue_at (module S) s cfg rank (Proc_grid.coords cfg.pg rank)
-
-(* Global wave index of a tile step: one wave per tile compute, counted
-   across sweeps and iterations — the clock the checkpoint interval ticks
-   on, and the per-rank tile counter [Perturb.Model.before_compute]
-   advances. *)
-let wave_of cfg (p : Substrate.position) =
-  let nsweeps = List.length (Sweeps.Schedule.sweeps cfg.schedule) in
-  ((((p.iteration - 1) * nsweeps) + p.sweep) * cfg.tiling.ntiles) + p.tile
-
-let waves cfg =
-  cfg.iterations
-  * List.length (Sweeps.Schedule.sweeps cfg.schedule)
-  * cfg.tiling.ntiles
+  List.iter
+    (function
+      | Local_work us -> S.local_work s ~rank us
+      | Halo { dx; dy; bytes } ->
+          S.halo s ~rank
+            ~dst:(peer cfg rank ~dx ~dy)
+            ~src:(peer cfg rank ~dx:(-dx) ~dy:(-dy))
+            ~bytes
+      | Allreduce { count; msg_size } -> S.allreduce s ~rank ~count ~msg_size)
+    cfg.epilogue
 
 (* One rank's tiles [tile0, ntiles) of one sweep. Nothing is allocated:
    the four neighbours are resolved by rank arithmetic once per call (-1
    off the grid), and each tile step's position goes to [tile_begin] as
    its fields. *)
-let run_sweep (type st p) ((module S) : (st, p) Substrate.s) (s : st) cfg
-    ~rank ~iteration ~sweep ~dir ~tile0 =
+let run_sweep (type st p) ((module S) : (st, p) Substrate.tile_loop) (s : st)
+    cfg ~rank ~iteration ~sweep ~dir ~tile0 =
   let cols = cfg.pg.Proc_grid.cols and rows = cfg.pg.Proc_grid.rows in
   let i = (rank mod cols) + 1 and j = (rank / cols) + 1 in
   let dx, dy, _ = dir in
@@ -184,6 +198,7 @@ let run_rank (type st p) ?(from = Substrate.start_position)
     || from.tile < 0
     || from.tile >= cfg.tiling.ntiles
   then invalid_arg "Program.run_rank: resume position out of range";
+  let tile_loop : (st, p) Substrate.tile_loop = (module S) in
   for iteration = from.iteration to cfg.iterations do
     List.iteri
       (fun sweep sw ->
@@ -192,7 +207,7 @@ let run_rank (type st p) ?(from = Substrate.start_position)
             if iteration = from.iteration && sweep = from.sweep then from.tile
             else 0
           in
-          run_sweep (module S) s cfg ~rank ~iteration ~sweep
+          run_sweep tile_loop s cfg ~rank ~iteration ~sweep
             ~dir:(flow cfg.pg sw) ~tile0
         end)
       sweeps;

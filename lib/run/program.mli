@@ -1,9 +1,11 @@
 (** The one wavefront program (paper Figure 4), written against the
     {!Substrate} interface and shared by every backend: the event-level
     simulator, the shared-memory runtime with real payloads, and the
-    reference dataflow scheduler. It owns the per-tile
-    receive/compute/send loop, the sweep flow directions, the Htile
-    stacking and every [App_params.nonwavefront] variant — exactly once. *)
+    reference dataflow scheduler; the batched engine runs its tile loop
+    ({!run_sweep}) and resolves its non-wavefront section op by op. It
+    owns the per-tile receive/compute/send loop, the sweep flow
+    directions, the Htile stacking and every [App_params.nonwavefront]
+    variant, which {!v} writes out once as a list of {!epilogue_op}. *)
 
 open Wgrid
 
@@ -28,11 +30,23 @@ val tiling_int : nz:int -> htile:int -> tiling
     short last tile — {!Kernels.Transport}'s layout. Equal to {!tiling}
     when [htile] is integral, and likewise computed once. *)
 
+type epilogue_op =
+  | Local_work of float  (** work local to the rank, already in us *)
+  | Halo of { dx : int; dy : int; bytes : int }
+      (** one direction of a halo exchange: every rank sends [bytes] to
+          its neighbour at (dx, dy) and receives from the one at
+          (-dx, -dy) *)
+  | Allreduce of { count : int; msg_size : int }
+      (** [count] back-to-back all-reduces of [msg_size] bytes *)
+(** One operation of the non-wavefront section (Table 3's
+    Tnonwavefront), the same for every rank. *)
+
 type config = {
   pg : Proc_grid.t;
   grid : Data_grid.t;
   schedule : Sweeps.Schedule.t;
-  nonwavefront : Wavefront_core.App_params.nonwavefront;
+  epilogue : epilogue_op list;
+      (** the non-wavefront section of one iteration, in program order *)
   msg_ew : int;  (** east/west face size in bytes (Table 3) *)
   msg_ns : int;
   tiling : tiling;
@@ -51,7 +65,13 @@ val v :
   htile:float ->
   unit ->
   config
-(** [htile] only determines the default {!tiling}. *)
+(** [htile] only determines the default {!tiling}. [nonwavefront] becomes
+    the [epilogue] list: [No_op] is empty, [Fixed us] one [Local_work us],
+    [Allreduce] one [Allreduce], and a [Stencil] is its [Local_work]
+    ([wg_stencil * cells_x * cells_y * nz]) followed by the halos east,
+    west, south and north, the x halos carrying the east-west face
+    ([cells_y] cells by [nz]) and the y halos the north-south face
+    ([cells_x] by [nz]). *)
 
 val of_app :
   ?iterations:int ->
@@ -64,25 +84,12 @@ val of_app :
     wavefront iteration), matching the simulator's historical default, not
     the app's [iterations] field. *)
 
-val wave_of : config -> Substrate.position -> int
-(** Global wave index of a tile step:
-    [((iteration - 1) * nsweeps + sweep) * ntiles + tile] — one wave per
-    tile compute, the clock the checkpoint interval ticks on. *)
-
-val waves : config -> int
-(** Total tile steps per rank over the whole run
-    ([iterations * nsweeps * ntiles]); wave indices range over
-    [0 .. waves - 1]. *)
-
-val epilogue : ('t, 'p) Substrate.s -> 't -> config -> int -> unit
-(** Run only the non-wavefront section of one iteration for one rank — the
-    [App_params.nonwavefront] variant: fixed work, allreduce, or the
-    staged stencil halo exchange. Drivers that advance ranks in a custom
-    order (e.g. the batched engine's deferred epilogue stage) call this
-    directly; {!run_rank} invokes the same code at each iteration end. *)
+val peer : config -> int -> dx:int -> dy:int -> int
+(** [peer cfg rank ~dx ~dy] is the rank at offset (dx, dy) from [rank] on
+    the processor grid, or [-1] off it. *)
 
 val run_sweep :
-  ('t, 'p) Substrate.s ->
+  ('t, 'p) Substrate.tile_loop ->
   't ->
   config ->
   rank:int ->
@@ -97,7 +104,8 @@ val run_sweep :
     [compute] and the two downstream sends. This is the body {!run_rank}
     runs per sweep; a driver that advances ranks sweep by sweep (the
     batched engine) calls it directly, with a [dir] computed once per
-    sweep. It allocates nothing of its own. *)
+    sweep. It needs only the substrate's tile-loop hooks and allocates
+    nothing of its own. *)
 
 val run_rank :
   ?from:Substrate.position ->
@@ -108,7 +116,9 @@ val run_rank :
   unit
 (** Execute one rank's program on the given substrate. The caller provides
     the concurrency (simulator processes, domains, or dataflow fibers);
-    this function only performs the rank's own blocking sequence.
+    this function only performs the rank's own blocking sequence: every
+    sweep's tile loop, then the [epilogue] operations, each iteration,
+    then [finish].
 
     [from] (default {!Substrate.start_position}) resumes the program at a
     later tile step after a rollback: earlier iterations, sweeps and tiles

@@ -12,8 +12,7 @@ type event =
   | Recv of { peer : int; axis : Substrate.axis; tile : int; bytes : int }
   | Boundary of { axis : Substrate.axis }
   | Allreduce of { count : int; msg_size : int }
-  | Halo of { dst : int option; src : int option; bytes : int }
-  | Barrier
+  | Halo of { dst : int; src : int; bytes : int }
   | Finish
 
 type t = event list ref array
@@ -32,12 +31,10 @@ let pp_event ppf = function
   | Allreduce { count; msg_size } ->
       Fmt.pf ppf "allreduce x%d (%dB)" count msg_size
   | Halo { dst; src; bytes } ->
-      let pp_o ppf = function
-        | Some r -> Fmt.pf ppf "%d" r
-        | None -> Fmt.pf ppf "-"
+      let pp_peer ppf r =
+        if r < 0 then Fmt.pf ppf "-" else Fmt.pf ppf "%d" r
       in
-      Fmt.pf ppf "halo ->%a <-%a (%dB)" pp_o dst pp_o src bytes
-  | Barrier -> Fmt.pf ppf "barrier"
+      Fmt.pf ppf "halo ->%a <-%a (%dB)" pp_peer dst pp_peer src bytes
   | Finish -> Fmt.pf ppf "finish"
 
 module Wrap (S : Substrate.S) = struct
@@ -68,10 +65,7 @@ module Wrap (S : Substrate.S) = struct
   let tile_begin (_, s) ~rank ~iteration ~sweep ~tile ~wave =
     S.tile_begin s ~rank ~iteration ~sweep ~tile ~wave
 
-  let fixed_work (_, s) ~rank t = S.fixed_work s ~rank t
-
-  let stencil_compute (_, s) ~rank ~wg_stencil =
-    S.stencil_compute s ~rank ~wg_stencil
+  let local_work (_, s) ~rank us = S.local_work s ~rank us
 
   let halo (r, s) ~rank ~dst ~src ~bytes =
     push r rank (Halo { dst; src; bytes });
@@ -80,10 +74,6 @@ module Wrap (S : Substrate.S) = struct
   let allreduce (r, s) ~rank ~count ~msg_size =
     push r rank (Allreduce { count; msg_size });
     S.allreduce s ~rank ~count ~msg_size
-
-  let barrier (r, s) ~rank =
-    push r rank Barrier;
-    S.barrier s ~rank
 
   let finish (r, s) ~rank =
     push r rank Finish;

@@ -6,7 +6,10 @@
     {!Program.config} must produce identical per-rank event sequences;
     the differential tests check exactly that, including under
     perturbation — injected delays and adversarial scheduling may move
-    events in time but never reorder a rank's own sequence.
+    events in time but never reorder a rank's own sequence. After each
+    iteration's tile loop, a rank's [Halo] and [Allreduce] events are the
+    configuration's epilogue operations in list order ([Local_work] is
+    not communication and leaves no event).
 
     Each rank appends only to its own slot, so recording is safe on
     single-threaded substrates (simulator, dataflow) and on
@@ -17,8 +20,8 @@ type event =
   | Recv of { peer : int; axis : Substrate.axis; tile : int; bytes : int }
   | Boundary of { axis : Substrate.axis }
   | Allreduce of { count : int; msg_size : int }
-  | Halo of { dst : int option; src : int option; bytes : int }
-  | Barrier
+  | Halo of { dst : int; src : int; bytes : int }
+      (** [-1] for a neighbour off the grid *)
   | Finish
 
 type t
@@ -34,5 +37,5 @@ module Wrap (S : Substrate.S) :
   Substrate.S with type t = t * S.t and type payload = S.payload
 (** The recording substrate: pass [(recorder, backend)] where the
     original program passed [backend]. Communication hooks (send, recv,
-    boundary, halo, allreduce, barrier, finish) are recorded; compute
+    boundary, halo, allreduce, finish) are recorded; compute, local work
     and per-tile bookkeeping hooks pass straight through. *)

@@ -11,9 +11,15 @@
 
    Hooks are deliberately fine-grained (one per Figure-4 step and one per
    non-wavefront operation) so each backend can attribute time, spans and
-   validation exactly where today's hand-written programs do. All hooks
-   take the calling [rank]: a substrate value may be shared by every rank
-   (the simulator) or private to one (the shared-memory runtime).
+   validation exactly where today's hand-written programs do. They come in
+   two sets. [TILE_LOOP] holds the Figure-4 steps, all that
+   [Program.run_sweep] calls; the batched engine implements only these,
+   because it resolves the non-wavefront section across all ranks at once.
+   [S] adds the per-rank hooks of that section ([local_work], [halo],
+   [allreduce]) and [finish], which [Program.run_rank] calls on the
+   blocking substrates. All hooks take the calling [rank]: a substrate
+   value may be shared by every rank (the simulator) or private to one
+   (the shared-memory runtime).
 
    The fine grain also anchors the perturbation and recovery protocol: a
    backend honouring a [Perturb.Spec] calls [Perturb.Model]'s step
@@ -41,7 +47,7 @@ let start_position = { iteration = 1; sweep = 0; tile = 0 }
 let pp_position ppf p =
   Fmt.pf ppf "iteration %d, sweep %d, tile %d" p.iteration p.sweep p.tile
 
-module type S = sig
+module type TILE_LOOP = sig
   type t
   type payload
   (** A boundary face travelling between neighbouring ranks. *)
@@ -86,32 +92,36 @@ module type S = sig
       Substrates without recovery bookkeeping do nothing. The position
       comes as its fields so that the tile loop allocates nothing; a
       substrate builds the record only for a snapshot it takes. *)
+end
 
-  (* Non-wavefront operations between iterations (Table 3's
-     Tnonwavefront). *)
+module type S = sig
+  include TILE_LOOP
 
-  val fixed_work : t -> rank:int -> float -> unit
-  (** A fixed per-iteration cost in microseconds. *)
+  (* The operations of [Program.epilogue_op], one rank at a time (Table
+     3's Tnonwavefront). *)
 
-  val stencil_compute : t -> rank:int -> wg_stencil:float -> unit
-  (** The per-cell stencil computation over the rank's whole block. *)
+  val local_work : t -> rank:int -> float -> unit
+  (** Work local to the rank, already priced in microseconds: a fixed
+      per-iteration cost, or the stencil over the rank's whole block. *)
 
-  val halo : t -> rank:int -> dst:int option -> src:int option ->
-    bytes:int -> unit
-  (** One direction of a halo exchange: send [bytes] to [dst] (if any),
-      then receive from [src] (if any). [Program] orders the four calls so
-      the exchange is deadlock-free on blocking substrates. *)
+  val halo : t -> rank:int -> dst:int -> src:int -> bytes:int -> unit
+  (** One direction of a halo exchange: send [bytes] to [dst], then
+      receive from [src]; a neighbour of [-1] is off the grid and skipped.
+      [Program] orders the four calls so the exchange is deadlock-free on
+      blocking substrates. *)
 
   val allreduce : t -> rank:int -> count:int -> msg_size:int -> unit
   (** [count] back-to-back all-reduces of [msg_size] bytes; every rank
       calls. *)
 
-  val barrier : t -> rank:int -> unit
-  (** Full synchronization; every rank calls. *)
-
   val finish : t -> rank:int -> unit
   (** The rank's program is complete. *)
 end
+
+type ('t, 'p) tile_loop =
+  (module TILE_LOOP with type t = 't and type payload = 'p)
+(** The tile-loop hooks as a first-class module, the form
+    {!Program.run_sweep} takes. *)
 
 type ('t, 'p) s = (module S with type t = 't and type payload = 'p)
 (** A substrate as a first-class module, the form {!Program.run_rank}

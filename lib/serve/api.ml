@@ -331,11 +331,7 @@ let run_sweep ?(check_every = 16) ~deadline s =
          let app = App_params.with_htile s.base htile in
          (* Per-iteration resilience overhead over one iteration's waves,
             the same accounting as the resilience subcommand. *)
-         let waves =
-           Sweeps.Schedule.nsweeps app.App_params.schedule
-           * Wgrid.Tile.ntiles_int ~nz:app.App_params.grid.Wgrid.Data_grid.nz
-               ~htile:app.App_params.htile
-         in
+         let waves = App_params.waves app in
          List.iter
            (fun (cols, rows) ->
              let cores = cols * rows in

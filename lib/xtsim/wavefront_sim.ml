@@ -114,7 +114,6 @@ module Backend = struct
     mpi : Mpi_sim.t;
     coll : Collective.ctx;
     machine : Machine.t;
-    grid : Data_grid.t;
     msg_ew : int;
     msg_ns : int;
     work : (float * float) array;  (* per-rank (w, w_pre) *)
@@ -166,7 +165,6 @@ module Backend = struct
       mpi = Mpi_sim.create ?trace ?metrics engine machine;
       coll = Collective.ctx engine machine;
       machine;
-      grid = app.grid;
       msg_ew = App_params.message_size_ew app pg;
       msg_ns = App_params.message_size_ns app pg;
       work = Array.init cores work_of;
@@ -344,24 +342,12 @@ module Backend = struct
           Perturb.Model.tile_begin m ~rank ~wave
             (spend t rank (fun () -> [ wave_of t rank tile ]))
 
-    let fixed_work t ~rank d = timed_compute ~args:epilogue_args t rank d
-
-    let stencil_compute t ~rank ~wg_stencil =
-      let pg = t.machine.pgrid in
-      let cells_x = Decomp.cells_x t.grid pg in
-      let cells_y = Decomp.cells_y t.grid pg in
-      let nz = float_of_int t.grid.nz in
-      timed_compute ~args:epilogue_args t rank
-        (wg_stencil *. cells_x *. cells_y *. nz)
+    let local_work t ~rank us = timed_compute ~args:epilogue_args t rank us
 
     let halo t ~rank ~dst ~src ~bytes =
       timed_comm ~name:"halo" ~args:epilogue_args t rank (fun () ->
-          (match dst with
-          | Some d -> Mpi_sim.send t.mpi ~src:rank ~dst:d ~size:bytes
-          | None -> ());
-          match src with
-          | Some s -> Mpi_sim.recv t.mpi ~dst:rank ~src:s ~size:bytes
-          | None -> ())
+          if dst >= 0 then Mpi_sim.send t.mpi ~src:rank ~dst ~size:bytes;
+          if src >= 0 then Mpi_sim.recv t.mpi ~dst:rank ~src ~size:bytes)
 
     (* Collective noise: a seeded stall before the rank enters the
        all-reduce, the classic desynchronization source of the idle-wave
@@ -375,12 +361,6 @@ module Backend = struct
           for _ = 1 to count do
             Collective.allreduce t.coll t.mpi ~rank ~msg_size
           done)
-
-    (* The simulated machine has no dedicated barrier network; synchronize
-       with a minimal all-reduce, as the real codes do. *)
-    let barrier t ~rank =
-      timed_comm ~name:"barrier" ~args:epilogue_args t rank (fun () ->
-          Collective.allreduce t.coll t.mpi ~rank ~msg_size:8)
 
     let finish t ~rank =
       t.done_flags.(rank) <- true;
