@@ -392,7 +392,6 @@ module Backend = struct
     | Some m ->
         Perturb.Model.tile_begin m ~rank ~wave:gwave
           (spend t ~rank ~col:(wave t ~rank ~tile))
-
 end
 
 (* --- the domain pool --- *)
