@@ -100,21 +100,26 @@ let spec_arg =
              "Model the application described by a KEY = VALUE spec file \
               instead of a built-in benchmark (see Apps.Spec).")
 
+(* The application a subcommand models. A flag App_params rejects (a
+   non-positive or non-finite --wg or --htile, --iterations 0) is a usage
+   error, like a bad spec file. *)
 let make_app ?spec name grid ~htile ~wg ~iterations =
-  let app =
-    match spec with
-    | Some path -> (
-        match Apps.Spec.of_file path with
-        | Ok app -> app
-        | Error (`Msg m) -> usage_error "%s: %s" path m)
-    | None -> (
-        match name with
-        | "lu" -> Apps.Lu.params ?wg ?iterations grid
-        | "sweep3d" -> Apps.Sweep3d.params ?wg ?iterations grid
-        | "chimaera" -> Apps.Chimaera.params ?wg ?iterations grid
-        | _ -> assert false)
-  in
-  match htile with Some h -> App_params.with_htile app h | None -> app
+  try
+    let app =
+      match spec with
+      | Some path -> (
+          match Apps.Spec.of_file path with
+          | Ok app -> app
+          | Error (`Msg m) -> usage_error "%s: %s" path m)
+      | None -> (
+          match name with
+          | "lu" -> Apps.Lu.params ?wg ?iterations grid
+          | "sweep3d" -> Apps.Sweep3d.params ?wg ?iterations grid
+          | "chimaera" -> Apps.Chimaera.params ?wg ?iterations grid
+          | _ -> assert false)
+    in
+    match htile with Some h -> App_params.with_htile app h | None -> app
+  with Invalid_argument m -> usage_error "%s" m
 
 let make_cfg platform ~cores ~cpn =
   let platform = Loggp.Params.with_cores_per_node platform cpn in

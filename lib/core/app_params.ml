@@ -38,8 +38,28 @@ type t = {
   iterations : int;  (** wavefront iterations per time step *)
 }
 
+(* A NaN passes every [<=] check below, and an infinity makes every
+   prediction inf or nan, so each float is checked for finiteness first. *)
+let finite what x =
+  if not (Float.is_finite x) then
+    invalid_arg ("App_params.v: " ^ what ^ " must be finite")
+
 let v ?(wg_pre = 0.0) ?(nonwavefront = No_op) ?(iterations = 1) ~name ~grid
     ~wg ~htile ~schedule ~bytes_per_cell_ew ~bytes_per_cell_ns () =
+  finite "wg" wg;
+  finite "wg_pre" wg_pre;
+  finite "htile" htile;
+  finite "bytes_per_cell_ew" bytes_per_cell_ew;
+  finite "bytes_per_cell_ns" bytes_per_cell_ns;
+  (match nonwavefront with
+  | Stencil { wg_stencil; halo_bytes_per_cell } ->
+      finite "stencil wg" wg_stencil;
+      finite "stencil halo bytes per cell" halo_bytes_per_cell;
+      if halo_bytes_per_cell <= 0.0 then
+        invalid_arg
+          "App_params.v: stencil halo bytes per cell must be positive"
+  | Fixed us -> finite "fixed non-wavefront cost" us
+  | No_op | Allreduce _ -> ());
   if wg <= 0.0 then invalid_arg "App_params.v: wg must be positive";
   if wg_pre < 0.0 then invalid_arg "App_params.v: wg_pre must be >= 0";
   if htile <= 0.0 then invalid_arg "App_params.v: htile must be positive";
@@ -52,7 +72,8 @@ let v ?(wg_pre = 0.0) ?(nonwavefront = No_op) ?(iterations = 1) ~name ~grid
   }
 
 let with_htile t htile =
-  if htile <= 0.0 then invalid_arg "App_params.with_htile";
+  if not (htile > 0.0 && Float.is_finite htile) then
+    invalid_arg "App_params.with_htile";
   { t with htile }
 
 let with_grid t grid = { t with grid }

@@ -42,7 +42,8 @@ val v :
   bytes_per_cell_ns:float ->
   unit ->
   t
-(** Validates positivity of the work, tile and payload parameters. *)
+(** Validates that every float is finite, and the positivity of the work,
+    tile and payload parameters and of a stencil's halo face. *)
 
 val with_htile : t -> float -> t
 val with_grid : t -> Data_grid.t -> t
