@@ -291,10 +291,6 @@ module Obs_ctx = struct
       | Ok () -> ()
       | Error m -> Fmt.epr "wavefront: ledger: %s@." m
     end
-
-  let engine_name : Harness.Engine.t -> string = function
-    | Event -> "event"
-    | Batched -> "batched"
 end
 
 let bool01 b = if b then 1.0 else 0.0
@@ -366,7 +362,7 @@ let simulate spec app_name grid cores cpn htile wg iterations engine no_bus
   in
   let finish kv =
     Obs_ctx.finish ?spec
-      ~engine:(Obs_ctx.engine_name engine)
+      ~engine:(Harness.Engine.to_string engine)
       ~config:
         (Fmt.str "%s|%a|p%d|c%d|bus%b|d%d" app.App_params.name
            Wgrid.Data_grid.pp app.grid cores cpn (not no_bus) domains)
@@ -724,7 +720,7 @@ let perturb spec app_name grid cores cpn htile wg iterations platform engine
      Perturb_report.exit_status. *)
   let status = Harness.Perturb_report.exit_status r in
   Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
+    ~engine:(Harness.Engine.to_string engine)
     ?spec
     ~config:
       (Fmt.str "%s|%a|p%d|c%d|%s|%a" app.App_params.name Wgrid.Data_grid.pp
@@ -815,7 +811,7 @@ let recover spec app_name grid cores cpn htile wg iterations platform engine
     else s
   in
   Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
+    ~engine:(Harness.Engine.to_string engine)
     ?spec
     ~config:
       (Fmt.str "%s|%a|p%d|c%d|%s|%a|%a" app.App_params.name
@@ -927,7 +923,7 @@ let timeline spec app_name grid cores cpn htile wg iterations platform engine
       write_file "timeline CSV" p (fun w -> w (Harness.Timeline_report.to_csv t)))
     csv_out;
   Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
+    ~engine:(Harness.Engine.to_string engine)
     ?spec
     ~config:
       (Fmt.str "%s|%a|p%d|c%d|%s|bus%b" app.App_params.name
@@ -951,14 +947,6 @@ let timeline_cmd =
                "Also execute the transport kernel on one OCaml domain per \
                 rank and reconstruct its timeline (use small core counts).")
   in
-  let no_bus =
-    Arg.(value & flag
-         & info [ "no-bus" ]
-             ~doc:
-               "Switch off the simulator's shared-bus contention; with \
-                single-core nodes the observed and model timelines then \
-                coincide.")
-  in
   let metric =
     Arg.(value & opt string "wait"
          & info [ "metric" ] ~docv:"M"
@@ -979,7 +967,7 @@ let timeline_cmd =
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(const timeline $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ real $ no_bus $ metric $ capacity_arg $ json_out $ csv_out
+          $ real $ no_bus_arg $ metric $ capacity_arg $ json_out $ csv_out
           $ Obs_ctx.term)
 
 (* --- idlewave --- *)
@@ -1037,7 +1025,7 @@ let idlewave spec app_name grid cores cpn htile wg iterations platform engine
      Idlewave_report.exit_status. *)
   let status = Harness.Idlewave_report.exit_status ~fail_on_mismatch r in
   Obs_ctx.finish
-    ~engine:(Obs_ctx.engine_name engine)
+    ~engine:(Harness.Engine.to_string engine)
     ?spec
     ~config:
       (Fmt.str "%s|%a|p%d|c%d|%s|%a" app.App_params.name Wgrid.Data_grid.pp
@@ -1082,14 +1070,6 @@ let idlewave_cmd =
                 per rank and run the detector on its timelines (use small \
                 core counts).")
   in
-  let no_bus =
-    Arg.(value & flag
-         & info [ "no-bus" ]
-             ~doc:
-               "Switch off the simulator's shared-bus contention; with \
-                single-core nodes the simulated and batched timelines \
-                then coincide cell for cell.")
-  in
   let fail_on_mismatch =
     Arg.(value & flag
          & info [ "fail-on-mismatch" ]
@@ -1114,7 +1094,7 @@ let idlewave_cmd =
   Cmd.v (Cmd.info "idlewave" ~doc)
     Term.(const idlewave $ spec_arg $ app_arg $ grid_arg $ cores_arg $ cpn_arg
           $ htile_arg $ wg_arg $ iterations_arg $ platform_arg $ engine_arg
-          $ pgrid $ pspec $ real $ no_bus $ fail_on_mismatch $ capacity_arg
+          $ pgrid $ pspec $ real $ no_bus_arg $ fail_on_mismatch $ capacity_arg
           $ out $ json_out $ csv_out $ Obs_ctx.term)
 
 (* --- bench --- *)
