@@ -21,15 +21,6 @@ let sweep_cell v ~cell ~west ~north =
     v.(cell + k) <- r +. (0.05 /. (1.0 +. (r *. r)))
   done
 
-(* As {!sweep_cell}, but the upwind values may live in a different array
-   (a received boundary face rather than the local block). *)
-let update_cell v ~cell ~west:(wa, wo) ~north:(na, no) =
-  for k = 0 to nvars - 1 do
-    let w = wa.(wo + k) and n = na.(no + k) and s = v.(cell + k) in
-    let r = (0.4 *. w) +. (0.4 *. n) +. (0.2 *. s) in
-    v.(cell + k) <- r +. (0.05 /. (1.0 +. (r *. r)))
-  done
-
 (* One forward sweep over an nx * ny plane-stack, for work measurement.
    Boundary cells use their own value as the missing upwind input. *)
 let sweep_block v ~nx ~ny ~nz =

@@ -2,25 +2,9 @@
     with a neighbour-free pre-computation (the model's Wg_pre) and a
     west/north upwind update (Wg). Used to measure the LU model inputs. *)
 
-val nvars : int
-
-val pre_cell : float array -> int -> unit
-(** [pre_cell v off] updates the [nvars] values at [off] in place. *)
-
-val sweep_cell : float array -> cell:int -> west:int -> north:int -> unit
-
-val update_cell :
-  float array ->
-  cell:int ->
-  west:float array * int ->
-  north:float array * int ->
-  unit
-(** As {!sweep_cell}, with upwind values taken from arbitrary
-    [(array, offset)] sources — local block or received face. *)
-
 val sweep_block : float array -> nx:int -> ny:int -> nz:int -> unit
-(** One forward sweep over a block laid out [nvars] values per cell, cell
-    [(x,y,z)] at [nvars * ((z*ny + y)*nx + x)]. *)
+(** One forward sweep over a block laid out five values per cell, cell
+    [(x,y,z)] at [5 * ((z*ny + y)*nx + x)]. *)
 
 val pre_block : float array -> nx:int -> ny:int -> nz:int -> unit
 val init_block : nx:int -> ny:int -> nz:int -> float array

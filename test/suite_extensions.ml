@@ -1,7 +1,7 @@
 (* Tests for the extensions beyond the paper's core artifacts: scaling
    metrics, the memory model, per-sweep breakdowns and sync terms, simulator
-   instrumentation (stats, noise, balance, hop latency), the distributed LU
-   execution, and the experiment harness plumbing. *)
+   instrumentation (stats, noise, balance, hop latency), and the experiment
+   harness plumbing. *)
 
 open Wavefront_core
 
@@ -222,42 +222,6 @@ let test_hop_latency_spares_sweeps () =
   let rel = (hoppy.elapsed -. base.elapsed) /. base.elapsed in
   Alcotest.(check bool) (Fmt.str "rel=%.5f" rel) true (rel >= 0.0 && rel < 0.01)
 
-(* --- Distributed LU execution --- *)
-
-let check_lu_equal ~name plan =
-  let out = Kernels.Lu_exec.run plan in
-  let distributed = Kernels.Lu_exec.gather plan out.blocks in
-  let reference = Kernels.Lu_exec.run_sequential plan in
-  Alcotest.(check bool) (name ^ ": bitwise equal") true (distributed = reference)
-
-let test_lu_exec_2x2 () =
-  check_lu_equal ~name:"2x2"
-    (Kernels.Lu_exec.plan (Wgrid.Data_grid.v ~nx:12 ~ny:10 ~nz:6)
-       (Wgrid.Proc_grid.v ~cols:2 ~rows:2))
-
-let test_lu_exec_ragged () =
-  check_lu_equal ~name:"3x2 ragged"
-    (Kernels.Lu_exec.plan (Wgrid.Data_grid.v ~nx:13 ~ny:7 ~nz:5)
-       (Wgrid.Proc_grid.v ~cols:3 ~rows:2))
-
-let test_lu_exec_iterations () =
-  check_lu_equal ~name:"2 iterations"
-    (Kernels.Lu_exec.plan ~iterations:2 (Wgrid.Data_grid.v ~nx:8 ~ny:8 ~nz:4)
-       (Wgrid.Proc_grid.v ~cols:2 ~rows:2))
-
-let prop_lu_exec_matches =
-  QCheck.Test.make ~name:"distributed LU = sequential (random configs)"
-    ~count:10
-    QCheck.(triple (int_range 1 3) (int_range 1 3) (int_range 2 5))
-    (fun (cols, rows, nz) ->
-      let plan =
-        Kernels.Lu_exec.plan
-          (Wgrid.Data_grid.v ~nx:(2 + (3 * cols)) ~ny:(1 + (2 * rows)) ~nz)
-          (Wgrid.Proc_grid.v ~cols ~rows)
-      in
-      let out = Kernels.Lu_exec.run plan in
-      Kernels.Lu_exec.gather plan out.blocks = Kernels.Lu_exec.run_sequential plan)
-
 (* --- Harness plumbing --- *)
 
 let test_table_csv () =
@@ -340,8 +304,6 @@ let test_scorecard_all_pass () =
         true c.pass)
     (Harness.Exp_summary.claims ())
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_lu_exec_matches ]
-
 let suite =
   [
     ( "ext.metrics",
@@ -381,12 +343,6 @@ let suite =
         Alcotest.test_case "hop latency spares sweeps" `Quick
           test_hop_latency_spares_sweeps;
       ] );
-    ( "ext.lu-exec",
-      [
-        Alcotest.test_case "2x2 = sequential" `Quick test_lu_exec_2x2;
-        Alcotest.test_case "ragged = sequential" `Quick test_lu_exec_ragged;
-        Alcotest.test_case "iterations" `Quick test_lu_exec_iterations;
-      ] );
     ( "ext.harness",
       [
         Alcotest.test_case "csv rendering" `Quick test_table_csv;
@@ -401,5 +357,4 @@ let suite =
         Alcotest.test_case "real-machine experiment smoke" `Slow
           test_real_experiment_smoke;
       ] );
-    ("ext.properties", props);
   ]
