@@ -139,7 +139,7 @@ let recv_into t ~dst ~src buf =
     payload
   end
 
-let barrier_impl ?(rank = -1) t =
+let barrier_impl t ~rank =
   Mutex.lock t.barrier_mutex;
   let epoch = t.barrier_epoch in
   t.barrier_count <- t.barrier_count + 1;
@@ -185,15 +185,11 @@ let barrier_impl ?(rank = -1) t =
   end;
   Mutex.unlock t.barrier_mutex
 
-(* The barrier has no caller rank in its signature; [rank] is only needed
-   for the span, so tracing callers use [barrier_r]. *)
-let barrier_r t ~rank =
-  if not (traced t) then barrier_impl ~rank t
+let barrier t ~rank =
+  if not (traced t) then barrier_impl t ~rank
   else
     Obs.Tracer.span t.obs.(rank) ~cat:"sync" ~rank "barrier" (fun () ->
-        barrier_impl ~rank t)
-
-let barrier t = barrier_impl t
+        barrier_impl t ~rank)
 
 (* Binomial-tree broadcast from [root]: in step k (counting down), ranks
    within 2^k of the root relay to rank + 2^k. All ranks must call. *)

@@ -12,7 +12,7 @@ exception Timeout of { rank : int; src : int; op : string; waited_us : float }
 val create :
   ?obs:Obs.Tracer.t array -> ?log:bool -> ?timeout_us:float -> int -> t
 (** [obs] attaches one tracer per rank (the array must have one entry per
-    rank): {!send}, {!recv}, {!barrier_r} and {!allreduce} then record
+    rank): {!send}, {!recv}, {!barrier} and {!allreduce} then record
     spans on the calling rank's tracer, each written only from that rank's
     domain. [recv] spans carry a ["wait"] arg with the time blocked on an
     empty channel, and ["src"]/["dst"] args make the spans usable with
@@ -50,12 +50,9 @@ val recv_into : t -> dst:int -> src:int -> float array -> float array
     the channel's internal buffer recycled, so a steady-state tile loop
     allocates nothing per message — and the message itself otherwise. *)
 
-val barrier : t -> unit
-(** All ranks must call; reusable. *)
-
-val barrier_r : t -> rank:int -> unit
-(** As {!barrier}, identifying the caller so the wait is recorded as a
-    span when tracing is on. *)
+val barrier : t -> rank:int -> unit
+(** All ranks must call; reusable. The wait is recorded as a [barrier]
+    span on the caller's tracer when tracing is on. *)
 
 val allreduce : t -> rank:int -> op:(float -> float -> float) -> float -> float
 (** Recursive-doubling all-reduce; all ranks must call with their value and

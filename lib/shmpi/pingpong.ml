@@ -26,7 +26,7 @@ let half_round_trip ?(rounds = 200) ?(batches = 5) ~size_bytes () =
            oversubscribed machines. *)
         let best = ref infinity in
         for _ = 1 to batches do
-          Comm.barrier comm;
+          Comm.barrier comm ~rank;
           let start = Runtime.now_us () in
           for _ = 1 to rounds do exchange () done;
           best := Float.min !best (Runtime.now_us () -. start)

@@ -42,7 +42,7 @@ let test_barrier () =
   let r =
     Shmpi.Runtime.run ~ranks (fun comm rank ->
         flags.(rank) <- 1;
-        Shmpi.Comm.barrier comm;
+        Shmpi.Comm.barrier comm ~rank;
         Array.fold_left ( + ) 0 flags)
   in
   Array.iter (fun v -> Alcotest.(check int) "saw all" ranks v) r.values
@@ -130,7 +130,7 @@ let test_barrier_timeout () =
   (* A rank that never reaches the barrier must not strand the others. *)
   match
     Shmpi.Runtime.run ~ranks:3 ~timeout_us:20_000.0 (fun comm rank ->
-        if rank <> 2 then Shmpi.Comm.barrier_r comm ~rank)
+        if rank <> 2 then Shmpi.Comm.barrier comm ~rank)
   with
   | _ -> Alcotest.fail "expected Rank_failure"
   | exception Shmpi.Runtime.Rank_failure { failed; exn; _ } ->
@@ -202,7 +202,7 @@ let test_span_collection () =
         if rank = 0 then Shmpi.Comm.send comm ~src:0 ~dst:1 [| 1.0; 2.0 |]
         else if rank = 1 then
           ignore (Shmpi.Comm.recv comm ~dst:1 ~src:0);
-        Shmpi.Comm.barrier_r comm ~rank;
+        Shmpi.Comm.barrier comm ~rank;
         Shmpi.Comm.allreduce comm ~rank ~op:( +. ) 1.0)
   in
   Array.iter
