@@ -99,7 +99,7 @@ module Substrate : Substrate.S with type t = t and type payload = msg
 val exec : t -> (int -> unit) -> unit
 (** Run rank programs (typically
     [fun rank -> Program.run_rank (module Substrate) t cfg rank], possibly
-    wrapped in {!Record.Wrap}) under the deterministic scheduler. *)
+    wrapped in a recording substrate) under the deterministic scheduler. *)
 
 val outcome : t -> outcome
 

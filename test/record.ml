@@ -8,9 +8,9 @@
    runtimes. *)
 
 type event =
-  | Send of { peer : int; axis : Substrate.axis; tile : int }
-  | Recv of { peer : int; axis : Substrate.axis; tile : int; bytes : int }
-  | Boundary of { axis : Substrate.axis }
+  | Send of { peer : int; axis : Wrun.Substrate.axis; tile : int }
+  | Recv of { peer : int; axis : Wrun.Substrate.axis; tile : int; bytes : int }
+  | Boundary of { axis : Wrun.Substrate.axis }
   | Allreduce of { count : int; msg_size : int }
   | Halo of { dst : int; src : int; bytes : int }
   | Finish
@@ -21,23 +21,7 @@ let create ~ranks : t = Array.init ranks (fun _ -> ref [])
 let events (t : t) rank = List.rev !(t.(rank))
 let push (t : t) rank e = t.(rank) := e :: !(t.(rank))
 
-let pp_event ppf = function
-  | Send { peer; axis; tile } ->
-      Fmt.pf ppf "send[%s] tile %d -> %d" (Substrate.axis_name axis) tile peer
-  | Recv { peer; axis; tile; bytes } ->
-      Fmt.pf ppf "recv[%s] tile %d <- %d (%dB)" (Substrate.axis_name axis)
-        tile peer bytes
-  | Boundary { axis } -> Fmt.pf ppf "boundary[%s]" (Substrate.axis_name axis)
-  | Allreduce { count; msg_size } ->
-      Fmt.pf ppf "allreduce x%d (%dB)" count msg_size
-  | Halo { dst; src; bytes } ->
-      let pp_peer ppf r =
-        if r < 0 then Fmt.pf ppf "-" else Fmt.pf ppf "%d" r
-      in
-      Fmt.pf ppf "halo ->%a <-%a (%dB)" pp_peer dst pp_peer src bytes
-  | Finish -> Fmt.pf ppf "finish"
-
-module Wrap (S : Substrate.S) = struct
+module Wrap (S : Wrun.Substrate.S) = struct
   type nonrec t = t * S.t
   type payload = S.payload
 

@@ -282,7 +282,7 @@ let test_model_kill_with_policy () =
 
 (* --- Zero-spec identity and seeded determinism on the simulator --- *)
 
-module Sim_rec = Wrun.Record.Wrap (Xtsim.Wavefront_sim.Backend.Substrate)
+module Sim_rec = Record.Wrap (Xtsim.Wavefront_sim.Backend.Substrate)
 
 (* Per-rank message sequences of a (possibly perturbed) simulator run. *)
 let sim_events ?perturb pg app =
@@ -293,13 +293,13 @@ let sim_events ?perturb pg app =
   let engine = Xtsim.Engine.create () in
   let b = Xtsim.Wavefront_sim.Backend.create ?perturb engine machine app in
   let cfg = Wrun.Program.of_app pg app in
-  let recs = Wrun.Record.create ~ranks:cores in
+  let recs = Record.create ~ranks:cores in
   for rank = 0 to cores - 1 do
     Xtsim.Engine.spawn engine (fun () ->
         Wrun.Program.run_rank (module Sim_rec) (recs, b) cfg rank)
   done;
   ignore (Xtsim.Engine.run engine);
-  Array.init cores (Wrun.Record.events recs)
+  Array.init cores (Record.events recs)
 
 let schedules =
   [ Sweeps.Schedule.sweep3d; Sweeps.Schedule.lu; Sweeps.Schedule.chimaera ]

@@ -12,8 +12,8 @@ open Wgrid
 
 (* --- Recording harnesses: the same program on two substrates --- *)
 
-module Sim_rec = Wrun.Record.Wrap (Xtsim.Wavefront_sim.Backend.Substrate)
-module Df_rec = Wrun.Record.Wrap (Wrun.Dataflow.Substrate)
+module Sim_rec = Record.Wrap (Xtsim.Wavefront_sim.Backend.Substrate)
+module Df_rec = Record.Wrap (Wrun.Dataflow.Substrate)
 
 let sim_events pg app =
   let cores = Proc_grid.cores pg in
@@ -21,26 +21,26 @@ let sim_events pg app =
   let engine = Xtsim.Engine.create () in
   let b = Xtsim.Wavefront_sim.Backend.create engine machine app in
   let cfg = Wrun.Program.of_app pg app in
-  let recs = Wrun.Record.create ~ranks:cores in
+  let recs = Record.create ~ranks:cores in
   for rank = 0 to cores - 1 do
     Xtsim.Engine.spawn engine (fun () ->
         Wrun.Program.run_rank (module Sim_rec) (recs, b) cfg rank)
   done;
   ignore (Xtsim.Engine.run engine);
-  Array.init cores (Wrun.Record.events recs)
+  Array.init cores (Record.events recs)
 
 let dataflow_events ?perturb pg app =
   let cores = Proc_grid.cores pg in
   let t = Wrun.Dataflow.of_app ?perturb pg app in
   let cfg = Wrun.Program.of_app pg app in
-  let recs = Wrun.Record.create ~ranks:cores in
+  let recs = Record.create ~ranks:cores in
   Wrun.Dataflow.exec t (fun rank ->
       Wrun.Program.run_rank (module Df_rec) (recs, t) cfg rank);
   let o = Wrun.Dataflow.outcome t in
   if not o.completed then Alcotest.fail "dataflow backend deadlocked";
   if o.mismatches <> [] then
     Alcotest.fail ("dataflow mismatch: " ^ List.hd o.mismatches);
-  Array.init cores (Wrun.Record.events recs)
+  Array.init cores (Record.events recs)
 
 let schedules =
   [ Sweeps.Schedule.sweep3d; Sweeps.Schedule.lu; Sweeps.Schedule.chimaera ]
@@ -91,8 +91,8 @@ let test_sequence_shape () =
   in
   let pg = Proc_grid.v ~cols:2 ~rows:1 in
   let ev = dataflow_events pg app in
-  let is_send = function Wrun.Record.Send _ -> true | _ -> false in
-  let is_recv = function Wrun.Record.Recv _ -> true | _ -> false in
+  let is_send = function Record.Send _ -> true | _ -> false in
+  let is_recv = function Record.Recv _ -> true | _ -> false in
   Array.iteri
     (fun rank events ->
       Alcotest.(check int)
