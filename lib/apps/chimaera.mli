@@ -1,9 +1,5 @@
 (** Chimaera application parameters (paper Table 3). *)
 
-val default_wg : float
-val angles : int
-val default_iterations : int
-
 val params :
   ?wg:float -> ?htile:float -> ?iterations:int -> Wgrid.Data_grid.t ->
   Wavefront_core.App_params.t

@@ -1,11 +1,5 @@
 (** LU application parameters (paper Table 3). *)
 
-val default_wg : float
-val default_wg_pre : float
-val default_wg_stencil : float
-val bytes_per_cell : float
-val default_iterations : int
-
 val params :
   ?wg:float -> ?wg_pre:float -> ?wg_stencil:float -> ?iterations:int ->
   Wgrid.Data_grid.t -> Wavefront_core.App_params.t
@@ -15,9 +9,6 @@ val params :
 
 type cls = A | B | C | D | E
 (** The NAS-LU problem classes. *)
-
-val class_size : cls -> int
-val class_iterations : cls -> int
 
 val of_class :
   ?wg:float -> ?wg_pre:float -> ?wg_stencil:float -> ?iterations:int ->

@@ -18,8 +18,6 @@ let default_mmi = 3
 let default_mk = 4 (* Htile = mk * mmi / mmo = 2, the paper's preferred value *)
 let default_iterations = 120 (* per time step; paper Section 5 *)
 
-let angles = default_mmo
-
 let params ?(wg = default_wg) ?(mmi = default_mmi) ?(mmo = default_mmo)
     ?(mk = default_mk) ?(iterations = default_iterations) grid =
   let htile = Wgrid.Tile.htile_sweep3d ~mk ~mmi ~mmo in

@@ -6,8 +6,6 @@ val default_wg : float
 val default_mmo : int
 val default_mmi : int
 val default_mk : int
-val default_iterations : int
-val angles : int
 
 val params :
   ?wg:float ->

@@ -20,13 +20,9 @@ type entry = {
 
 type t = { min_delta_pct : float; entries : entry list }
 
-val default_min_delta_pct : float
-(** 5%. *)
-
 val compare :
   ?min_delta_pct:float -> baseline:Report.t -> current:Report.t -> unit -> t
 
 val regressions : t -> entry list
 val verdict_name : verdict -> string
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -86,8 +86,3 @@ let read path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> of_json (really_input_string ic (in_channel_length ic)))
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%s, %d result(s))@." schema t.label
-    (List.length t.results);
-  List.iter (fun s -> Format.fprintf ppf "  %a@." Runner.pp s) t.results

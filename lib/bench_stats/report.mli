@@ -24,5 +24,3 @@ val of_json : string -> t
     mismatch. *)
 
 val read : string -> t
-
-val pp : Format.formatter -> t -> unit

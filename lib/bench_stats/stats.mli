@@ -4,9 +4,6 @@
     intervals; everything is deterministic for a given seed. All
     functions raise [Invalid_argument] on an empty array. *)
 
-val sorted : float array -> float array
-(** A sorted copy. *)
-
 val quantile : float array -> float -> float
 (** Linear-interpolation quantile, [q] in [[0, 1]]. *)
 

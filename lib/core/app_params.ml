@@ -76,8 +76,6 @@ let with_htile t htile =
     invalid_arg "App_params.with_htile";
   { t with htile }
 
-let with_grid t grid = { t with grid }
-let with_wg t wg = { t with wg }
 let counts t = Sweeps.Schedule.counts t.schedule
 
 (* One wave per tile step of every sweep: the timeline's wave columns per

@@ -46,8 +46,6 @@ val v :
     tile and payload parameters and of a stencil's halo face. *)
 
 val with_htile : t -> float -> t
-val with_grid : t -> Data_grid.t -> t
-val with_wg : t -> float -> t
 
 val counts : t -> Sweeps.Schedule.counts
 (** The schedule's [nsweeps], [nfull], [ndiag] (Table 3). *)

@@ -3,11 +3,4 @@
     fill + stack sweeps, ignoring the precedence overlap captured by the
     plug-and-play model's [nfull]/[ndiag]. Times in microseconds. *)
 
-val stage_cost : App_params.t -> Plugplay.config -> float
-(** Per-tile pipeline stage cost: pre-work + work + the four sends and
-    receives, all off-node. *)
-
-val sweep_time : App_params.t -> Plugplay.config -> float
-(** Fill to the far corner plus a full stack of tiles. *)
-
 val time_per_iteration : App_params.t -> Plugplay.config -> float

@@ -10,24 +10,17 @@ type t = {
   state_bytes_per_cell : float;
       (** persistent per-cell state (e.g. 8 B per angle plus scalar flux
           for transport, 5 doubles for LU) *)
-  face_copies : int;
-      (** live copies of each boundary face (incoming + outgoing) *)
-  eager_slack : int;
-      (** eager messages that may be buffered per neighbour link *)
 }
 
+(* Live copies of each boundary face (incoming + outgoing), and the eager
+   messages that may be buffered per neighbour link. *)
+let face_copies = 2.0
+let eager_slack = 2.0
+
 let transport ~angles =
-  {
-    state_bytes_per_cell = 8.0 *. (float_of_int angles +. 1.0);
-    face_copies = 2;
-    eager_slack = 2;
-  }
+  { state_bytes_per_cell = 8.0 *. (float_of_int angles +. 1.0) }
 
-let lu = { state_bytes_per_cell = 8.0 *. 5.0; face_copies = 2; eager_slack = 2 }
-
-let v ?(face_copies = 2) ?(eager_slack = 2) ~state_bytes_per_cell () =
-  if state_bytes_per_cell <= 0.0 then invalid_arg "Memory_model.v";
-  { state_bytes_per_cell; face_copies; eager_slack }
+let lu = { state_bytes_per_cell = 8.0 *. 5.0 }
 
 (* Bytes per rank for a given decomposition. *)
 let bytes_per_rank t (app : App_params.t) (pg : Proc_grid.t) =
@@ -35,17 +28,11 @@ let bytes_per_rank t (app : App_params.t) (pg : Proc_grid.t) =
   let cells_y = Decomp.cells_y app.grid pg in
   let nz = float_of_int app.grid.nz in
   let state = t.state_bytes_per_cell *. cells_x *. cells_y *. nz in
-  let faces =
-    float_of_int t.face_copies
-    *. float_of_int
-         (App_params.message_size_ew app pg + App_params.message_size_ns app pg)
+  let face_bytes =
+    float_of_int
+      (App_params.message_size_ew app pg + App_params.message_size_ns app pg)
   in
-  let eager =
-    float_of_int t.eager_slack
-    *. float_of_int
-         (App_params.message_size_ew app pg + App_params.message_size_ns app pg)
-  in
-  state +. faces +. eager
+  state +. (face_copies *. face_bytes) +. (eager_slack *. face_bytes)
 
 let bytes_per_node t app pg ~cmp =
   bytes_per_rank t app pg *. float_of_int (Cmp.cores_per_node cmp)

@@ -4,21 +4,13 @@
 
 open Wgrid
 
-type t = {
-  state_bytes_per_cell : float;
-  face_copies : int;
-  eager_slack : int;
-}
+type t
 
 val transport : angles:int -> t
 (** 8 bytes per angle plus the scalar flux per cell. *)
 
 val lu : t
 (** Five 8-byte flow variables per cell. *)
-
-val v :
-  ?face_copies:int -> ?eager_slack:int -> state_bytes_per_cell:float ->
-  unit -> t
 
 val bytes_per_rank : t -> App_params.t -> Proc_grid.t -> float
 val bytes_per_node : t -> App_params.t -> Proc_grid.t -> cmp:Cmp.t -> float

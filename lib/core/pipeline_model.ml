@@ -98,8 +98,6 @@ let iteration (app : App_params.t) (cfg : Plugplay.config) =
   let sweeps_end = Array.fold_left Float.max 0.0 !finish in
   sweeps_end +. r.t_nonwavefront
 
-let time_per_iteration = iteration
-
 let record_iteration m app cfg =
   let t = iteration app cfg in
   Obs.Metrics.set (Obs.Metrics.gauge m "pipeline.t_iteration") t;

@@ -4,27 +4,8 @@
     first-principles cross-check of the closed form, and a tighter bound
     when a Follow-gated sweep's downstream is still draining. *)
 
-open Wgrid
-
-val sweep_finish_times :
-  Plugplay.config ->
-  origin:Proc_grid.corner ->
-  w:float ->
-  w_pre:float ->
-  t_stack:float ->
-  msg_ew:int ->
-  msg_ns:int ->
-  float array ->
-  float array
-(** [sweep_finish_times cfg ~origin ... finish] maps each processor's ready
-    time (its previous-sweep finish) to its finish time of a sweep from
-    [origin]. Arrays are row-major over [cfg.pgrid]. *)
-
 val iteration : App_params.t -> Plugplay.config -> float
 (** Iteration time including the non-wavefront epilogue. *)
-
-val time_per_iteration : App_params.t -> Plugplay.config -> float
-(** Alias of {!iteration}. *)
 
 val record_iteration :
   Obs.Metrics.t -> App_params.t -> Plugplay.config -> float

@@ -7,19 +7,10 @@ type input = Wg | Wg_pre | Htile | G | L | O | Msg_payload
 val all_inputs : input list
 val input_name : input -> string
 
-val perturb :
-  App_params.t ->
-  Plugplay.config ->
-  input ->
-  float ->
-  App_params.t * Plugplay.config
-(** Scale the given input by a factor. *)
-
 val elasticity :
   ?h:float -> App_params.t -> Plugplay.config -> input -> float
 
 type row = { input : input; elasticity : float }
 
 val analyze : ?h:float -> App_params.t -> Plugplay.config -> row list
-val pp_row : row Fmt.t
 val pp : row list Fmt.t

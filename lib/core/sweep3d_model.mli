@@ -38,5 +38,4 @@ type result = {
   t_sweeps : float;  (** (s5): total time of the eight sweeps *)
 }
 
-val iteration : inputs -> result
 val t_sweeps : inputs -> float

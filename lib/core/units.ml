@@ -1,7 +1,6 @@
 (* Time-unit conversions. The model works in microseconds throughout; the
    procurement studies of Section 5 report days and simulations per month. *)
 
-let us = 1.0
 let ms = 1_000.0
 let s = 1_000_000.0
 let minute = 60.0 *. s
@@ -13,7 +12,6 @@ let to_ms t = t /. ms
 let to_s t = t /. s
 let to_hours t = t /. hour
 let to_days t = t /. day
-let to_months t = t /. month
 
 let pp_time ppf t =
   if t < ms then Fmt.pf ppf "%.3g us" t

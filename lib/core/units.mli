@@ -1,20 +1,11 @@
 (** Time-unit conversions. The model works in microseconds; the studies of
     Section 5 report seconds, days and per-month throughput. *)
 
-val us : float
-val ms : float
-val s : float
-val minute : float
-val hour : float
-val day : float
 val month : float
-(** One unit of each, expressed in microseconds ([month] is 30 days). *)
+(** One 30-day month in microseconds. *)
 
-val to_ms : float -> float
 val to_s : float -> float
-val to_hours : float -> float
 val to_days : float -> float
-val to_months : float -> float
 
 val pp_time : float Fmt.t
 (** Pretty-print a duration given in microseconds with a readable unit. *)

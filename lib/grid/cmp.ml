@@ -54,6 +54,3 @@ let nodes_for grid t =
   ceil_div grid.cols t.cx * ceil_div grid.rows t.cy
 
 let pp ppf t = Fmt.pf ppf "%dx%d cores/node" t.cx t.cy
-
-let pp_dir ppf d =
-  Fmt.string ppf (match d with E -> "E" | W -> "W" | N -> "N" | S -> "S")

@@ -35,4 +35,3 @@ val nodes_for : Proc_grid.t -> t -> int
 (** Number of nodes needed to host the processor grid. *)
 
 val pp : t Fmt.t
-val pp_dir : dir Fmt.t

@@ -35,7 +35,3 @@ let offset_of ~cells ~parts ~index =
 let message_size ~bytes_per_cell ~htile ~extent =
   if bytes_per_cell <= 0.0 then invalid_arg "Decomp.message_size";
   int_of_float (Float.ceil (bytes_per_cell *. htile *. extent))
-
-let pp_split ppf (g, p) =
-  Fmt.pf ppf "%a over %a: %.2f x %.2f x %d cells/proc" Data_grid.pp g
-    Proc_grid.pp p (cells_x g p) (cells_y g p) g.nz

@@ -25,5 +25,3 @@ val message_size : bytes_per_cell:float -> htile:float -> extent:float -> int
 (** Boundary message size in bytes for a face of [extent] cells at tile
     height [htile], with [bytes_per_cell] bytes exchanged per boundary cell
     (Table 3's MessageSize rows). *)
-
-val pp_split : (Data_grid.t * Proc_grid.t) Fmt.t

@@ -49,11 +49,4 @@ let is_diagonal_of a b =
   let d1, d2 = diagonals a in
   b = d1 || b = d2
 
-let corner_name = function
-  | C11 -> "(1,1)"
-  | Cn1 -> "(n,1)"
-  | C1m -> "(1,m)"
-  | Cnm -> "(n,m)"
-
-let pp_corner ppf c = Fmt.string ppf (corner_name c)
 let pp ppf t = Fmt.pf ppf "%dx%d" t.cols t.rows

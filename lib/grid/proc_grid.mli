@@ -36,6 +36,4 @@ val diagonals : corner -> corner * corner
     originating at the argument. *)
 
 val is_diagonal_of : corner -> corner -> bool
-val corner_name : corner -> string
-val pp_corner : corner Fmt.t
 val pp : t Fmt.t

@@ -12,8 +12,6 @@ type case = {
   f : unit -> unit;
 }
 
-val all : unit -> case list
-
 val cases : ?quick:bool -> unit -> case list
 (** [quick] (default false) keeps only the fast CI subset. *)
 

@@ -30,6 +30,4 @@ val analyze :
   elapsed:float ->
   t
 
-val table : t -> Table.t
-val render_waves : Format.formatter -> t -> unit
 val pp : Format.formatter -> t -> unit

@@ -6,13 +6,7 @@ type t = Event | Batched
 
 let to_string = function Event -> "event" | Batched -> "batched"
 
-let of_string = function
-  | "event" -> Some Event
-  | "batched" -> Some Batched
-  | _ -> None
-
 let all = [ ("event", Event); ("batched", Batched) ]
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 type outcome = {
   elapsed : float;

@@ -11,11 +11,8 @@
 type t = Event | Batched
 
 val to_string : t -> string
-val of_string : string -> t option
 val all : (string * t) list
 (** Name/value pairs for a [Cmdliner.Arg.enum]. *)
-
-val pp : Format.formatter -> t -> unit
 
 type outcome = {
   elapsed : float;  (** makespan, us *)

@@ -33,8 +33,6 @@ let v ?(log_x = false) ?(log_y = false) ?(width = 72) ?(height = 20) ~title
 let series ~label points =
   { label; points = List.map (fun (x, y) -> (float_of_int x, y)) points }
 
-let fseries ~label points = { label; points }
-
 let markers = [| '*'; '+'; 'o'; 'x'; '#'; '@'; '%'; '&' |]
 
 let render ppf t =

@@ -7,7 +7,6 @@ type series
 type t
 
 val series : label:string -> (int * float) list -> series
-val fseries : label:string -> (float * float) list -> series
 
 val v :
   ?log_x:bool ->

@@ -46,8 +46,6 @@ let offset_x plan i =
 let offset_y plan j =
   Decomp.offset_of ~cells:plan.grid.ny ~parts:plan.pg.rows ~index:(j - 1)
 
-let flow = Wrun.Program.flow
-
 (* The program configuration handed to the shared core: kernel tiling (h =
    min htile (nz - t*htile)) and the honest byte sizes of the faces the
    backend actually ships (8-byte floats, angles values per boundary
@@ -522,7 +520,7 @@ let run_sequential plan =
   for _iter = 1 to plan.iterations do
     List.iter
       (fun sweep ->
-        let dir = flow plan.pg sweep in
+        let dir = Wrun.Program.flow plan.pg sweep in
         Transport.sweep_sequential plan.config ~nx ~ny ~nz ~dir
           ~htile:plan.htile ~phi)
       (Sweeps.Schedule.sweeps plan.schedule)

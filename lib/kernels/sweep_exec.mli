@@ -38,16 +38,6 @@ val plan :
     injected delays never touch the payloads, so the gathered result stays
     bitwise-equal to {!run_sequential} whenever the run completes. *)
 
-val block_x : plan -> int -> int
-(** Local x extent of column [i] (1-based). *)
-
-val block_y : plan -> int -> int
-val flow : Proc_grid.t -> Sweeps.Schedule.sweep -> int * int * int
-
-val program_config : plan -> Wrun.Program.config
-(** The plan as the shared core's program: kernel tiling and the honest
-    byte sizes of the faces this substrate ships. *)
-
 (** The real-payload substrate: payloads are the boundary faces computed
     by {!Transport.sweep_tile}, carried between domains by {!Shmpi.Comm}
     (receives into reused buffers). Exposed for driving

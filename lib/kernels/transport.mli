@@ -18,10 +18,6 @@ val v :
   ?sigma:float -> ?source:float -> ?boundary:float -> angles:int -> unit ->
   config
 
-val mu : config -> int -> float
-val eta : config -> int -> float
-val xi : config -> int -> float
-val weight : config -> int -> float
 val order : len:int -> dir:int -> int -> int
 
 type sweep_state
@@ -48,25 +44,6 @@ val sweep_tile :
     faces in the same layouts. Planes are visited in processing order (a
     [dz < 0] sweep starts at the top plane). The substrate-agnostic
     program core drives this as the compute step of the paper's Figure 4. *)
-
-val sweep :
-  config ->
-  nx:int ->
-  ny:int ->
-  nz:int ->
-  dir:int * int * int ->
-  htile:int ->
-  recv_x:(tile:int -> h:int -> float array) ->
-  recv_y:(tile:int -> h:int -> float array) ->
-  send_x:(tile:int -> float array -> unit) ->
-  send_y:(tile:int -> float array -> unit) ->
-  phi:float array ->
-  unit
-(** The whole sweep as a tile loop over {!sweep_start}/{!sweep_tile}:
-    tiles are [htile] z-planes (short last tile); [recv_x]/[recv_y] supply
-    the upstream faces of each tile and [send_x]/[send_y] emit the
-    downstream ones — the communication pattern of the paper's Figure 4 in
-    one call. *)
 
 type sweep_mark
 (** The tile-to-tile state of a sweep (carried z-face and plane cursor),

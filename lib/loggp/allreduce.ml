@@ -7,8 +7,6 @@
    resources. In the special case C = 1 the model reduces to
    log2(P) * TotalComm, as noted in the paper. *)
 
-let log2 x = log x /. log 2.0
-
 let ceil_log2 n =
   if n < 1 then invalid_arg "Allreduce.ceil_log2";
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
@@ -40,16 +38,3 @@ let tree_time ?(msg_size = default_msg_size) (t : Params.t) ~cores =
   let stages_offnode = Float.max 0.0 (stages_total -. stages_onchip) in
   (stages_offnode *. Comm_model.total_offnode t.offnode msg_size)
   +. (stages_onchip *. Comm_model.total_onchip t.onchip msg_size)
-
-let broadcast_time = tree_time
-let reduce_time = tree_time
-
-let time_exact ?(msg_size = default_msg_size) (t : Params.t) ~cores =
-  if cores < 1 then invalid_arg "Allreduce.time_exact: cores must be >= 1";
-  let c = min t.cores_per_node cores in
-  let stages_total = log2 (float_of_int cores) in
-  let stages_onchip = log2 (float_of_int c) in
-  let stages_offnode = Float.max 0.0 (stages_total -. stages_onchip) in
-  let cf = float_of_int c in
-  (stages_offnode *. cf *. Comm_model.total_offnode t.offnode msg_size)
-  +. (stages_onchip *. cf *. Comm_model.total_onchip t.onchip msg_size)

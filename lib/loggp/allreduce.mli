@@ -13,14 +13,6 @@ val time : ?msg_size:int -> Params.t -> cores:int -> float
     that non-power-of-two core counts are charged for their extra partial
     stage. Equation 9 of the paper with C = [t.cores_per_node]. *)
 
-val time_exact : ?msg_size:int -> Params.t -> cores:int -> float
-(** Like {!time} but with real-valued [log2 P] stage counts, exactly the
-    closed form printed in the paper. *)
-
 val tree_time : ?msg_size:int -> Params.t -> cores:int -> float
 (** Binomial-tree one-to-all/all-to-one time: [log2 P] sequential message
     steps, the first [log2 C] of them on-chip. *)
-
-val broadcast_time : ?msg_size:int -> Params.t -> cores:int -> float
-val reduce_time : ?msg_size:int -> Params.t -> cores:int -> float
-(** Aliases of {!tree_time}. *)

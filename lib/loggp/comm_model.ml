@@ -76,6 +76,3 @@ let receive (t : Params.t) locality size =
 let contention_i (p : Params.onchip) size =
   check_size size;
   p.o_dma +. (float_of_int size *. p.g_dma)
-
-let curve (t : Params.t) locality sizes =
-  List.map (fun s -> (s, total t locality s)) sizes

@@ -20,7 +20,6 @@ val send_offnode : Params.offnode -> int -> float
 val receive_offnode : Params.offnode -> int -> float
 val total_onchip : Params.onchip -> int -> float
 val send_onchip : Params.onchip -> int -> float
-val receive_onchip : Params.onchip -> int -> float
 
 val total : Params.t -> locality -> int -> float
 val send : Params.t -> locality -> int -> float
@@ -29,7 +28,3 @@ val receive : Params.t -> locality -> int -> float
 val contention_i : Params.onchip -> int -> float
 (** [contention_i p size] is the shared-bus interference term
     [I = o_dma + size * G_dma] of Table 6. *)
-
-val curve : Params.t -> locality -> int list -> (int * float) list
-(** [curve t locality sizes] is the modeled end-to-end time for each message
-    size, i.e. the model series of Figure 3. *)

@@ -41,9 +41,6 @@ val xt4_onchip : onchip
 val xt4 : t
 (** The dual-core Cray XT4 of the paper, Table 2. *)
 
-val sp2_offnode : offnode
-val sp2_onchip : onchip
-
 val sp2 : t
 (** The IBM SP/2 of Sundaram-Stukel & Vernon, quoted in Section 3.1. *)
 

@@ -135,14 +135,3 @@ let to_json ?(normalize = true) processes =
     processes;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let spans_csv spans =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "rank,name,cat,t_start,dur\n";
-  List.iter
-    (fun (s : Span.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d,%s,%s,%.4f,%.4f\n" s.rank s.name s.cat s.t_start
-           s.dur))
-    spans;
-  Buffer.contents b

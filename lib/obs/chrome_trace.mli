@@ -12,6 +12,3 @@ val to_json : ?normalize:bool -> process list -> string
 (** With [normalize] (the default), each process's timestamps are shifted
     so its earliest span starts at 0 — a simulated timeline and a
     wall-clock-stamped real one then align for side-by-side reading. *)
-
-val spans_csv : Span.t list -> string
-(** A flat [rank,name,cat,t_start,dur] CSV of the same spans. *)

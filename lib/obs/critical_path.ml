@@ -197,16 +197,3 @@ let summarize steps =
          match Float.compare b.total a.total with
          | 0 -> compare a.name b.name
          | c -> c)
-
-let pp ppf steps =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i { span; via_message } ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%s%a"
-        (match via_message with
-        | Some e -> Printf.sprintf "msg %d->%d  " e.src e.dst
-        | None -> "          ")
-        Span.pp span)
-    steps;
-  Format.fprintf ppf "@]"

@@ -39,5 +39,3 @@ type segment = { name : string; count : int; total : float }
 
 val summarize : step list -> segment list
 (** Time on the path grouped by span name, largest first. *)
-
-val pp : Format.formatter -> step list -> unit

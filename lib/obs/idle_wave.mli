@@ -61,5 +61,4 @@ val mark : t -> rank:int -> col:int -> char option
 (** Overlay for {!Timeline.render}: ['O'] on the origin cell, ['>'] on
     each front's leading edge. *)
 
-val pp_fit : Format.formatter -> fit -> unit
 val pp : Format.formatter -> t -> unit

@@ -216,19 +216,3 @@ let pp ppf t =
       Format.fprintf ppf "%-32s %a" name pp_sample s)
     (snapshot t);
   Format.fprintf ppf "@]"
-
-let to_csv t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "name,kind,count,value,sum,min,p50,p95,p99,max\n";
-  List.iter
-    (fun (name, s) ->
-      match s with
-      | Count n -> Buffer.add_string b (Printf.sprintf "%s,counter,%d,,,,,,,\n" name n)
-      | Value v ->
-          Buffer.add_string b (Printf.sprintf "%s,gauge,,%.6f,,,,,,\n" name v)
-      | Distribution d ->
-          Buffer.add_string b
-            (Printf.sprintf "%s,histogram,%d,,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
-               name d.n d.sum d.min d.p50 d.p95 d.p99 d.max))
-    (snapshot t);
-  Buffer.contents b

@@ -88,6 +88,4 @@ type view = Vcounter of int | Vgauge of float | Vhistogram of histogram
 (** Raw views in insertion order — what a renderer that needs the live
     histogram (not the quantile summary) consumes. *)
 val views : t -> (string * view) list
-val pp_sample : Format.formatter -> sample -> unit
 val pp : Format.formatter -> t -> unit
-val to_csv : t -> string

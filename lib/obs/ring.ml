@@ -37,7 +37,6 @@ let push t x =
 let length t = t.len
 let pushed t = t.pushed
 let dropped t = t.pushed - t.len
-let capacity t = t.capacity
 
 let to_list t =
   List.init t.len (fun i ->

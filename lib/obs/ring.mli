@@ -23,7 +23,6 @@ val pushed : 'a t -> int
 val dropped : 'a t -> int
 (** [pushed t - length t]. *)
 
-val capacity : 'a t -> int
 val to_list : 'a t -> 'a list
 (** Oldest first. *)
 

@@ -109,14 +109,6 @@ let to_metrics ?prefix reg d =
 
 let mwords w = w *. 8.0 /. 1e6 (* words -> MB on 64-bit *)
 
-let pp_delta ppf d =
-  Format.fprintf ppf
-    "%.3f s wall, %.2f s cpu (%.2fx of %d domains), minor %.2f MB \
-     (%d gc), major %.2f MB (%d gc), peak rss %d MB"
-    d.wall_s d.cpu_s (utilization d) d.domains (mwords d.minor_words)
-    d.minor_collections (mwords d.major_words) d.major_collections
-    d.peak_rss_mb
-
 type phases = { mutable rev : (string * delta) list }
 
 let phases () = { rev = [] }
@@ -162,8 +154,6 @@ let pp_report ppf phases =
         d.compactions d.peak_rss_mb)
     phases;
   Format.fprintf ppf "@]"
-
-let pp_phases ppf ps = pp_report ppf (report ps)
 
 (* --- allocation accounting --- *)
 

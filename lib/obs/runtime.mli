@@ -50,10 +50,6 @@ type delta = {
 val delta : sample -> sample -> delta
 (** [delta before after]. *)
 
-val utilization : delta -> float
-(** CPU seconds per wall second — 1.0 is one fully busy domain, [domains]
-    is every core busy. [nan] for zero-width phases. *)
-
 val delta_kv : ?prefix:string -> delta -> (string * float) list
 (** The delta flattened to numeric key/value pairs (keys like
     ["runtime.minor_words"]), the form the run ledger records. *)
@@ -61,8 +57,6 @@ val delta_kv : ?prefix:string -> delta -> (string * float) list
 val to_metrics : ?prefix:string -> Metrics.t -> delta -> unit
 (** Publish the delta as gauges into a registry (same keys as
     {!delta_kv}). *)
-
-val pp_delta : Format.formatter -> delta -> unit
 
 (** {1 Phase collection} *)
 
@@ -83,8 +77,6 @@ val report : phases -> (string * delta) list
 
 val pp_report : Format.formatter -> (string * delta) list -> unit
 (** The phase table ({!report}'s form — what harness reports store). *)
-
-val pp_phases : Format.formatter -> phases -> unit
 
 (** {1 Allocation accounting} *)
 

@@ -44,12 +44,3 @@ let arg_float s key =
   | Some (Float f) -> Some f
   | Some (Int i) -> Some (float_of_int i)
   | _ -> None
-
-let pp_arg ppf = function
-  | Int i -> Format.fprintf ppf "%d" i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%s" s
-
-let pp ppf s =
-  Format.fprintf ppf "[rank %d] %s %.3f+%.3fus" s.rank s.name s.t_start s.dur;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_arg v) s.args

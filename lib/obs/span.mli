@@ -35,5 +35,3 @@ val compare_start : t -> t -> int
 val arg_int : t -> string -> int option
 val arg_float : t -> string -> float option
 (** Integer args are coerced. *)
-
-val pp : Format.formatter -> t -> unit

@@ -73,7 +73,6 @@ type metric = Compute | Send | Recv | Wait | Idle | Busy | Total
 
 val metric_name : metric -> string
 val metric_of_string : string -> metric option
-val metric_value : metric -> cell -> float
 val rank_total : t -> metric -> int -> float
 val column_total : t -> metric -> int -> float
 

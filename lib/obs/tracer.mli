@@ -17,7 +17,6 @@ val create :
     spans in simulated time. *)
 
 val clock : t -> Clock.t
-val add : t -> Span.t -> unit
 
 val record :
   t ->

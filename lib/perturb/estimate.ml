@@ -84,12 +84,3 @@ let iteration (app : App_params.t) (cfg : Plugplay.config) (spec : Spec.t) =
   }
 
 let time_per_iteration app cfg spec = (iteration app cfg spec).total
-
-let pp_breakdown ppf b =
-  Fmt.pf ppf
-    "@[<v>base (r5):        %12.2f us@,noise inflation:  %12.2f us@,\
-     link contention:  %12.2f us@,straggler bound:  %12.2f us@,\
-     scenario stalls:  %12.2f us@,\
-     perturbed total:  %12.2f us (%+.2f%%)@]"
-    b.base b.noise b.link b.straggler b.scenario b.total
-    (100.0 *. (b.total -. b.base) /. b.base)

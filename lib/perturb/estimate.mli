@@ -25,4 +25,3 @@ type breakdown = {
 
 val iteration : App_params.t -> Plugplay.config -> Spec.t -> breakdown
 val time_per_iteration : App_params.t -> Plugplay.config -> Spec.t -> float
-val pp_breakdown : breakdown Fmt.t

@@ -82,21 +82,3 @@ let wave_period t = t.wave_period
 let speed t = 1.0 /. t.hop_cost
 let ranks_per_wave t = t.wave_period /. t.hop_cost
 let decay t = if t.delta <= 0.0 then 0.0 else t.noise_mean /. t.delta
-
-let amplitude_at t ~hops =
-  if hops < 0 then invalid "Perturb.Idle_model.amplitude_at: negative hops";
-  t.delta *. Float.exp (-.decay t *. float_of_int hops)
-
-let arrival t ~hops =
-  if hops < 0 then invalid "Perturb.Idle_model.arrival: negative hops";
-  t.hop_cost *. float_of_int hops
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>injected delay:   %12.2f us at rank %d, wave %d@,\
-     hop latency:      %12.2f us/hop@,\
-     wave period:      %12.2f us@,\
-     speed:            %12.4f ranks/wave (%.4g ranks/us)@,\
-     decay:            %12.4f /hop@]"
-    t.delta t.origin_rank t.origin_wave t.hop_cost t.wave_period
-    (ranks_per_wave t) (speed t) (decay t)

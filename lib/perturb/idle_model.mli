@@ -14,18 +14,6 @@
 
 type t
 
-val v :
-  ?noise_mean:float ->
-  delta:float ->
-  origin_rank:int ->
-  origin_wave:int ->
-  hop_cost:float ->
-  wave_period:float ->
-  unit ->
-  t
-(** Raises [Invalid_argument] on a negative delta, rank, wave or noise
-    mean, or a non-positive hop cost or wave period. *)
-
 val of_spec :
   ?work:float -> Spec.t -> hop_cost:float -> wave_period:float -> t option
 (** The model for the first [pulse] clause of the spec, or [None] when the
@@ -50,13 +38,3 @@ val ranks_per_wave : t -> float
 val decay : t -> float
 (** First-order exponential decay rate per hop, [noise_mean / delta];
     0 on a silent system or for a zero-amplitude pulse. *)
-
-val amplitude_at : t -> hops:int -> float
-(** Predicted wave amplitude [hops] ranks downstream of the origin:
-    [delta * exp (-decay * hops)]. *)
-
-val arrival : t -> hops:int -> float
-(** Wall-clock delay after injection before the front reaches a rank
-    [hops] away: [hops * hop_cost]. *)
-
-val pp : t Fmt.t

@@ -130,7 +130,3 @@ let optimal_interval ~waves ~wave_cost ~failures ~ckpt_cost =
     in
     let k = int_of_float (Float.round k) in
     max 1 (min waves k)
-
-let pp_term ppf t =
-  Fmt.pf ppf "checkpoint %.4f + restart %.4f + rework %.4f = %.4f us"
-    t.checkpoint t.restart t.rework t.total

@@ -46,8 +46,6 @@ type term = {
   total : float;
 }
 
-val zero_term : term
-
 val deterministic_term :
   policy -> waves:int -> wave_cost:float -> fail_waves:int list -> term
 (** Overhead of a concrete failure schedule — one entry in [fail_waves]
@@ -65,5 +63,3 @@ val optimal_interval :
 (** Daly-style optimum [K* = sqrt (2 * waves * C / (f * T_wave))],
     clamped to [1, waves]. Free checkpoints give 1; zero failures (or
     free waves) give [waves]. *)
-
-val pp_term : term Fmt.t

@@ -100,8 +100,6 @@ type parse_error = {
   reason : string;  (** what is wrong with it *)
 }
 
-val pp_parse_error : parse_error Fmt.t
-
 val of_string_loc : string -> (t, parse_error) result
 (** As {!of_string}, but a failure carries the offending clause, its
     position in the input and the reason, for callers that want to point

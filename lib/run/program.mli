@@ -9,11 +9,9 @@
 
 open Wgrid
 
-val flow_xy : Proc_grid.t -> Proc_grid.corner -> int * int
-(** Downstream (dx, dy) of a sweep originating at the given corner. *)
-
 val flow : Proc_grid.t -> Sweeps.Schedule.sweep -> int * int * int
-(** As {!flow_xy} plus dz from the sweep's z direction. *)
+(** Downstream (dx, dy, dz) of a sweep: (dx, dy) from its origin corner,
+    dz from its z direction. *)
 
 type tiling = { ntiles : int; h_of : int -> int }
 (** How a rank's Nz-plane stack is cut: [ntiles] tiles, tile [t] holding

@@ -9,7 +9,6 @@ type 'a t = {
   cap : int;
   mutable is_closed : bool;
   mutable pushed : int;
-  mutable shed : int;
 }
 
 let create ~capacity =
@@ -21,26 +20,19 @@ let create ~capacity =
     cap = capacity;
     is_closed = false;
     pushed = 0;
-    shed = 0;
   }
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let capacity t = t.cap
 let length t = locked t (fun () -> Queue.length t.items)
-let closed t = locked t (fun () -> t.is_closed)
 let pushed t = locked t (fun () -> t.pushed)
-let shed t = locked t (fun () -> t.shed)
 
 let try_push t x =
   locked t (fun () ->
       if t.is_closed then `Closed
-      else if Queue.length t.items >= t.cap then begin
-        t.shed <- t.shed + 1;
-        `Full
-      end
+      else if Queue.length t.items >= t.cap then `Full
       else begin
         Queue.push x t.items;
         t.pushed <- t.pushed + 1;

@@ -19,7 +19,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val try_push : 'a t -> 'a -> [ `Queued | `Full | `Closed ]
@@ -33,10 +32,5 @@ val close : 'a t -> unit
 (** Idempotent. Queued items remain poppable (drain); new pushes are
     refused. *)
 
-val closed : 'a t -> bool
-
 val pushed : 'a t -> int
 (** Items ever accepted ([`Queued]); monotone. *)
-
-val shed : 'a t -> int
-(** Pushes refused with [`Full]; monotone. *)

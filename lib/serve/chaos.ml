@@ -27,7 +27,6 @@ type t = {
   burst_left : int Atomic.t;
   streams : Perturb.Prng.t array;  (* one per worker: deterministic per seed *)
   fails : int Atomic.t;
-  slows : int Atomic.t;
 }
 
 let create ~seed ~workers spec =
@@ -38,7 +37,6 @@ let create ~seed ~workers spec =
     streams =
       Array.init workers (fun w -> Perturb.Prng.create ~seed ~stream:w);
     fails = Atomic.make 0;
-    slows = Atomic.make 0;
   }
 
 let take_burst t =
@@ -63,11 +61,7 @@ let decide t ~worker =
       `Fail
     end
     else if s.slow_rate > 0.0 && Perturb.Prng.bernoulli prng s.slow_rate
-    then begin
-      Atomic.incr t.slows;
-      `Slow (s.slow_ms /. 1000.0)
-    end
+    then `Slow (s.slow_ms /. 1000.0)
     else `Ok
 
 let injected_failures t = Atomic.get t.fails
-let injected_slowdowns t = Atomic.get t.slows

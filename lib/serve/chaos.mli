@@ -43,4 +43,3 @@ val decide : t -> worker:int -> [ `Ok | `Fail | `Slow of float ]
     global countdown. *)
 
 val injected_failures : t -> int
-val injected_slowdowns : t -> int

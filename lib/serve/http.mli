@@ -46,10 +46,6 @@ val read_request :
     arrived. A [POST]/[PUT] without [Content-Length] is a
     [Bad_request] (chunked encoding is not supported). *)
 
-val status_text : int -> string
-(** Reason phrase for the status codes the daemon emits; ["Unknown"]
-    otherwise. *)
-
 val write_response :
   ?headers:(string * string) list ->
   ?body:string ->

@@ -442,7 +442,6 @@ let start cfg =
   t
 
 let port t = t.bound_port
-let stopping t = Atomic.get t.stop_flag
 
 let stop t =
   Mutex.lock t.stop_mutex;

@@ -63,8 +63,6 @@ val stop : t -> unit
 (** Initiate graceful drain and block until every admitted connection is
     answered and all domains have joined. Idempotent. *)
 
-val stopping : t -> bool
-
 val run : config -> int
 (** The CLI entry: install SIGTERM/SIGINT handlers, {!start}, block
     until a signal arrives, drain, return 0. *)

@@ -76,7 +76,6 @@ type report = {
   invariants : invariant list;
 }
 
-val passed : report -> bool
 val report_to_json : report -> string
 (** The [wavefront-slam/v1] document. *)
 

@@ -8,17 +8,12 @@ let v ~min_s ~max_s =
     invalid_arg "Backoff.v: need 0 < min_s <= max_s";
   { min_s; max_s }
 
+(* The channel/barrier poll policy: a payload already in flight is picked
+   up within microseconds, while a dead peer costs at most one wakeup per
+   millisecond until the deadline. *)
 let poll = { min_s = 1e-6; max_s = 1e-3 }
 let first p = p.min_s
 let next p sleep = Float.min (sleep *. 2.0) p.max_s
-
-(* Decorrelated jitter (Brooker): uniform in [min, 3 * prev), capped.
-   The draw keeps retriers spread out instead of re-colliding on the
-   doubling ladder's rungs. *)
-let jittered p ~rand sleep =
-  let hi = 3.0 *. sleep in
-  let drawn = if hi <= p.min_s then p.min_s else p.min_s +. rand (hi -. p.min_s) in
-  Float.min drawn p.max_s
 
 let wait_until ?(policy = poll) ~deadline ready =
   let rec go sleep =

@@ -5,42 +5,20 @@
     probes. Before this module the 1 us -> 1 ms doubling loop was written
     out independently in [Channel.recv_deadline] and [Comm.barrier]; the
     serving layer's retry paths triple the call sites. This is the single
-    definition of the min/max/doubling policy, plus the decorrelated
-    jitter variant retries against shared resources should use (jitter
-    desynchronizes competing retriers; a plain doubling ladder keeps them
-    in lockstep and re-collides them on every rung). *)
+    definition of the min/max/doubling policy. *)
 
 type policy = {
   min_s : float;  (** first sleep, seconds *)
   max_s : float;  (** cap; every later sleep is clamped to it *)
 }
 
-val poll : policy
-(** The channel/barrier poll policy: 1 us doubling to a 1 ms cap — a
-    payload already in flight is picked up within microseconds, while a
-    dead peer costs at most one wakeup per millisecond until the
-    deadline. *)
-
 val v : min_s:float -> max_s:float -> policy
 (** Raises [Invalid_argument] unless [0 < min_s <= max_s]. *)
-
-val first : policy -> float
-(** The initial sleep ([min_s]). *)
-
-val next : policy -> float -> float
-(** [next p sleep] is the sleep after [sleep]: doubled, clamped to
-    [max_s]. *)
-
-val jittered : policy -> rand:(float -> float) -> float -> float
-(** [jittered p ~rand sleep] is the decorrelated-jitter successor of
-    [sleep]: uniform in [[min_s, 3 * sleep)] via [rand] (where [rand hi]
-    draws uniformly from [[0, hi)]), clamped to [max_s]. Seed [rand]
-    from a {!Perturb.Prng} stream for reproducible retry schedules. *)
 
 val wait_until :
   ?policy:policy -> deadline:float -> (unit -> bool) -> bool
 (** [wait_until ~deadline ready] polls [ready] under the policy
-    (default {!poll}), sleeping between probes, until [ready ()] is true
+    (default: 1 us doubling to a 1 ms cap), sleeping between probes, until [ready ()] is true
     (returning [true]) or [Unix.gettimeofday () >= deadline] (returning
     [false]). [ready] is probed once before any sleep, so an
     already-satisfied wait never blocks. The caller must not hold a

@@ -52,12 +52,6 @@ let enable_log t =
   if t.log = None then t.log <- Some (Queue.create ());
   Mutex.unlock t.mutex
 
-let logging t =
-  Mutex.lock t.mutex;
-  let on = t.log <> None in
-  Mutex.unlock t.mutex;
-  on
-
 (* Pop a pooled buffer of exactly [len] floats, if any (the pool can hold
    mixed lengths when tile heights vary; it is at most [pool_cap] long, so
    the scan is trivial). Caller holds the mutex. *)

@@ -50,8 +50,6 @@ val enable_log : t -> unit
 (** Switch the channel into logging mode (idempotent). Call before any
     traffic. *)
 
-val logging : t -> bool
-
 val sent_mark : t -> int
 (** Sequence number the next {!send} will carry — the sender-side
     checkpoint mark. *)

@@ -129,13 +129,3 @@ let pp_gate ppf = function
   | Follow -> Fmt.string ppf "follow"
   | Diagonal -> Fmt.string ppf "diagonal"
   | Full -> Fmt.string ppf "full"
-
-let pp ppf t =
-  let pairs = List.combine t.sweeps (gates t) in
-  Fmt.pf ppf "@[<v>%a@]"
-    (Fmt.list (fun ppf (s, g) ->
-         Fmt.pf ppf "sweep from %a (z %s), gate %a" Proc_grid.pp_corner
-           s.origin
-           (match s.zdir with `Up -> "up" | `Down -> "down")
-           pp_gate g))
-    pairs

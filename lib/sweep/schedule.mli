@@ -57,4 +57,3 @@ val make : nsweeps:int -> nfull:int -> ndiag:int -> t
     [nfull + ndiag > nsweeps]. *)
 
 val pp_gate : gate Fmt.t
-val pp : t Fmt.t

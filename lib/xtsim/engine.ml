@@ -23,10 +23,6 @@ type _ Effect.t +=
 let create () = { now = 0.0; seq = 0; events = Heap.create (); executed = 0 }
 let now t = t.now
 
-(* The engine's simulated time as an [Obs.Clock.t], so tracers built over
-   a simulation stamp spans in simulated microseconds. *)
-let clock t () = t.now
-
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: cannot schedule in the past";
   t.seq <- t.seq + 1;

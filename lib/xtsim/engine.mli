@@ -10,10 +10,6 @@ type t
 val create : unit -> t
 val now : t -> float
 
-val clock : t -> unit -> float
-(** The engine's simulated time as an [Obs.Clock.t], for stamping spans in
-    simulated microseconds (e.g. [Obs.Tracer.create ~clock:(clock e) ()]). *)
-
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Schedule a plain event (not a process) at an absolute time. Raises
     [Invalid_argument] if [at] is in the past. *)
@@ -32,11 +28,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
 
 val spawn : t -> ?at:float -> (unit -> unit) -> unit
 (** Start a process at the given time (default: now). *)
-
-val step : t -> bool
-(** Execute the single earliest event, advancing the clock to it; [false]
-    iff the queue was empty. The granular form of {!run}, for drivers
-    that interleave simulation with other work. *)
 
 val run : t -> float
 (** Execute events until the queue drains; returns the final simulated time.

@@ -36,7 +36,6 @@ let v ?(model_bus = true) ?(l_per_hop = 0.0) ?cmp platform pgrid =
 
 let cores t = Proc_grid.cores t.pgrid
 let coords t rank = Proc_grid.coords t.pgrid rank
-let rank t ij = Proc_grid.rank t.pgrid ij
 
 let node_dims t =
   let ceil_div a b = (a + b - 1) / b in

@@ -27,10 +27,7 @@ val v :
 
 val cores : t -> int
 val coords : t -> int -> int * int
-val rank : t -> int * int -> int
 val node_count : t -> int
-val node_dims : t -> int * int
-val node_coords : t -> int -> int * int
 val node_of_rank : t -> int -> int
 val locality : t -> src:int -> dst:int -> Loggp.Comm_model.locality
 

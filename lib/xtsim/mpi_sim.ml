@@ -52,7 +52,6 @@ type t = {
   trace : Trace.t option;
   tally : tally option;
   mutable sends : int;
-  mutable recvs : int;
 }
 
 let tally_of_metrics m =
@@ -72,7 +71,6 @@ let create ?trace ?metrics engine machine =
     trace;
     tally = Option.map tally_of_metrics metrics;
     sends = 0;
-    recvs = 0;
   }
 
 let tallied t ~protocol ~size =
@@ -122,6 +120,7 @@ let bus_delay t ~node ~busy =
     start -. now
   end
 
+(* Table 6's I = o_dma + size * G_dma: the bus occupancy of one transfer. *)
 let interference_quantum (p : Loggp.Params.t) size =
   p.onchip.o_dma +. (float_of_int size *. p.onchip.g_dma)
 
@@ -221,7 +220,6 @@ let send t ~src ~dst ~size =
 
 let recv t ~dst ~src ~size =
   if size < 0 then invalid_arg "Mpi_sim.recv: negative size";
-  t.recvs <- t.recvs + 1;
   let p = t.machine.platform in
   let locality = Machine.locality t.machine ~src ~dst in
   let b = box t ~dst ~src in
@@ -250,4 +248,3 @@ let sendrecv t ~self ~other ~size =
   recv t ~dst:self ~src:other ~size
 
 let sends t = t.sends
-let recvs t = t.recvs

@@ -24,9 +24,4 @@ val sendrecv : t -> self:int -> other:int -> size:int -> unit
 (** Send then receive, the pairwise-exchange step of recursive doubling.
     Deadlock-free for eager-size messages. *)
 
-val interference_quantum : Loggp.Params.t -> int -> float
-(** Table 6's [I = o_dma + size * G_dma], the bus occupancy of one
-    transfer. *)
-
 val sends : t -> int
-val recvs : t -> int

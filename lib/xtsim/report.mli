@@ -19,5 +19,4 @@ type t = {
 }
 
 val of_outcome : ?extremes:int -> Machine.t -> Wavefront_sim.outcome -> t
-val pp_rank_row : rank_row Fmt.t
 val pp : t Fmt.t

@@ -5,6 +5,4 @@
 type t
 
 val create : Engine.t -> t
-val acquire : t -> unit
-val release : t -> unit
 val with_resource : t -> (unit -> 'a) -> 'a

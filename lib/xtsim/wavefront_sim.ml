@@ -84,8 +84,6 @@ let estimated_events (machine : Machine.t) (app : App_params.t) ~iterations =
   let nsweeps = Sweeps.Schedule.nsweeps app.schedule in
   cores * ntiles * nsweeps * 6 * iterations
 
-let flow = Wrun.Program.flow_xy
-
 (* The event-driven engine materializes a fiber and a continuous stream
    of heap events per rank; past a few tens of thousands of ranks that
    stops failing gracefully (minutes of wall clock, then the allocator).

@@ -61,15 +61,11 @@ val comm_share : outcome -> float
     analogue of the model's critical-path communication component
     (Figure 11). *)
 
-val flow : Wgrid.Proc_grid.t -> Wgrid.Proc_grid.corner -> int * int
-(** Downstream (dx, dy) of a sweep originating at the given corner
-    (= {!Wrun.Program.flow_xy}). *)
-
 (** The simulated-machine substrate behind {!run}: payloads are byte
     sizes, communication costs what the LogGP-calibrated {!Mpi_sim}
     charges, computes advance the simulated clock. Exposed for driving
-    {!Wrun.Program.run_rank} directly — e.g. wrapped in
-    {!Wrun.Record.Wrap} to compare message sequences against another
+    {!Wrun.Program.run_rank} directly — e.g. wrapped in the test suite's
+    recording substrate to compare message sequences against another
     backend. *)
 module Backend : sig
   type t
