@@ -13,7 +13,7 @@ val default_capacity : int
 val create :
   ?capacity:int -> ?policy:Ring.policy -> ?clock:Clock.t -> unit -> t
 (** The clock (default {!Clock.wall}) is only consulted by {!span};
-    {!add}/{!record} take explicit timestamps, so a simulator can stamp
+    {!record} takes explicit timestamps, so a simulator can stamp
     spans in simulated time. *)
 
 val clock : t -> Clock.t

@@ -106,7 +106,8 @@ val of_string_loc : string -> (t, parse_error) result
     at the user's text. *)
 
 val of_string : string -> (t, [ `Msg of string ]) result
-(** Errors render {!parse_error} via {!pp_parse_error}. *)
+(** Errors render a {!parse_error} as its clause, byte offset and
+    reason. *)
 
 val to_string : t -> string
 val pp : t Fmt.t
