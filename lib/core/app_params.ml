@@ -72,8 +72,10 @@ let v ?(wg_pre = 0.0) ?(nonwavefront = No_op) ?(iterations = 1) ~name ~grid
   }
 
 let with_htile t htile =
-  if not (htile > 0.0 && Float.is_finite htile) then
-    invalid_arg "App_params.with_htile";
+  if not (Float.is_finite htile) then
+    invalid_arg "App_params.with_htile: htile must be finite";
+  if htile <= 0.0 then
+    invalid_arg "App_params.with_htile: htile must be positive";
   { t with htile }
 
 let counts t = Sweeps.Schedule.counts t.schedule

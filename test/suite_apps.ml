@@ -76,7 +76,8 @@ let test_validation_rejects_bad_inputs () =
     (Invalid_argument "App_params.v: wg must be positive") (fun () ->
       ignore (Apps.Custom.params ~wg:0.0 (Wgrid.Data_grid.cube 8)));
   Alcotest.check_raises "bad htile"
-    (Invalid_argument "App_params.with_htile") (fun () ->
+    (Invalid_argument "App_params.with_htile: htile must be positive")
+    (fun () ->
       ignore (App_params.with_htile (Apps.Chimaera.p240 ()) 0.0))
 
 let prop_presets_model_everywhere =
