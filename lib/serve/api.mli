@@ -68,20 +68,17 @@ val predict_into : Buffer.t -> string -> (unit, string) result
     one call — the pipeline the [serve-predict] telemetry target
     measures. *)
 
-(** {1 Sweep} *)
+(** {1 Sweep}
 
-val max_sweep_points : int
-(** 4096 — requests describing more points are refused (400), the
-    admission-control twin of the body-size cap. *)
-
-val max_point_cores : int
-(** 1_048_576 — per-point grid-size ceiling. *)
+    A request describing more than 4096 points is refused (400), the
+    admission-control twin of the body-size cap, and so is a grid of more
+    than 1_048_576 cores. *)
 
 type sweep
 
 val parse_sweep : string -> (sweep, string) result
 val sweep_points : sweep -> int
-(** [|htile| * |grids| * |k|], validated [<= max_sweep_points]. *)
+(** [|htile| * |grids| * |k|], validated [<= 4096]. *)
 
 type point = {
   htile : float;

@@ -5,19 +5,16 @@
     - every [read] is gated by [Unix.select] against the request's
       header deadline, so a slow-loris client ties up a worker for at
       most that budget (408);
-    - the header block is capped at {!max_header_bytes} (400) and bodies
-      at the caller's [max_body] ([`Too_large] → 413) {e before} the
-      body is read, so an oversized [Content-Length] never costs its
-      advertised bytes;
+    - the header block (request line + headers) is capped at 16 KiB
+      (400) and bodies at the caller's [max_body] ([`Too_large] → 413)
+      {e before} the body is read, so an oversized [Content-Length]
+      never costs its advertised bytes;
     - connections are single-request ([Connection: close]): no pipelining
       state to poison.
 
     Failures are values, not exceptions — the server turns each into one
     well-formed status line, which is the invariant the slam client
     checks on every connection. *)
-
-val max_header_bytes : int
-(** 16 KiB cap on request line + headers. *)
 
 type request = {
   meth : string;  (** uppercase, e.g. ["GET"] *)
@@ -29,7 +26,7 @@ type request = {
 
 type read_error =
   | Bad_request of string  (** malformed request line, header or length *)
-  | Too_large  (** headers over {!max_header_bytes} or body over [max_body] *)
+  | Too_large  (** headers over 16 KiB or body over [max_body] *)
   | Timeout  (** header/body not complete by the deadline (slow-loris) *)
   | Closed  (** peer closed or reset before a full request arrived *)
 

@@ -14,8 +14,7 @@ Exports kept public on purpose are listed in ALLOWLIST with a reason.
 Any other export without an outside reference, and any allowlist entry
 that names no such export, makes the script exit 1.
 
-    python3 test/exports_scan.py          # the unreferenced exports
-    python3 test/exports_scan.py --all    # also every export's use count
+    python3 test/exports_scan.py
 """
 
 import os
@@ -27,97 +26,99 @@ SCAN_DIRS = ["lib", "bin", "test", "examples", "perfbench"]
 
 # "Library.Module.value" -> why it stays public without an outside caller.
 ALLOWLIST = {
-    "Serve.Api.max_sweep_points":
-        "documented request limit: a client sizes its sweeps by it",
-    "Serve.Api.max_point_cores":
-        "documented request limit: a client sizes its grids by it",
-    "Serve.Http.max_header_bytes":
-        "documented request limit, named by the interface's error contract",
     "Obs.Ledger.schema":
         "schema id of the ledger's JSONL records, which readers check",
     "Obs.Timeline_stream.schema":
         "schema id of the streamed timeline export, which readers check",
     "Obs.Timeline_stream.ranks":
-        "kept while timeline_stream.ml stays unchanged: simulate's set-up "
-        "time measures Timeline_stream.create",
+        "no caller; hiding it deletes its definition from timeline_stream.ml, "
+        "which is held unchanged until its next edit (ROADMAP item 9)",
     "Obs.Timeline_stream.waves":
-        "kept while timeline_stream.ml stays unchanged: simulate's set-up "
-        "time measures Timeline_stream.create",
+        "no caller; hiding it deletes its definition from timeline_stream.ml, "
+        "which is held unchanged until its next edit (ROADMAP item 9)",
 }
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 MODPATH = r"[A-Z][A-Za-z0-9_']*(?:\.[A-Z][A-Za-z0-9_']*)*"
 
+# Where a comment, string, quoted string or char literal may start; inside
+# a comment also where one ends, since comments nest.
+OPENER = re.compile(r"\(\*|\"|\{[a-z_]*\||'")
+IN_COMMENT = re.compile(r"\(\*|\*\)|\"|\{[a-z_]*\||'")
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.S)
+CHAR = re.compile(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2})|[^\\'\n])'")
+NOT_NEWLINE = re.compile(r"[^\n]")
+
 
 def strip(src):
     """Blank out comments, string and char literals, keeping newlines."""
-    out = list(src)
     n = len(src)
 
-    def blank(a, b):
-        for k in range(a, b):
-            if out[k] != "\n":
-                out[k] = " "
-
     def skip_string(i):  # src[i] == '"'; returns the index past the close
-        i += 1
-        while i < n and src[i] != '"':
-            i += 2 if src[i] == "\\" else 1
-        return i + 1
+        m = STRING.match(src, i)
+        return m.end() if m else n + 1
 
-    def skip_quoted(i):  # {id|...|id}; returns the index past it, or None
-        m = re.match(r"\{([a-z_]*)\|", src[i:])
-        if not m:
-            return None
-        close = src.find("|" + m.group(1) + "}", i + m.end())
-        return n if close < 0 else close + len(m.group(1)) + 2
+    def skip_quoted(i):  # src[i:] opens {id|...|id}; returns the index past it
+        id_ = src[i + 1:src.index("|", i)]
+        close = src.find("|" + id_ + "}", i + len(id_) + 2)
+        return n if close < 0 else close + len(id_) + 2
 
     def skip_char(i):  # src[i] == "'"; returns the index past it, or None
         if i > 0 and (src[i - 1].isalnum() or src[i - 1] in "_'"):
             return None  # a primed identifier such as x'
-        m = re.match(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2})|[^\\'\n])'",
-                     src[i:])
-        return i + m.end() if m else None
+        m = CHAR.match(src, i)
+        return m.end() if m else None
 
     def skip_comment(i):  # src[i:i+2] == "(*"; comments nest
         depth = 0
-        while i < n:
-            if src.startswith("(*", i):
+        while True:
+            m = IN_COMMENT.search(src, i)
+            if not m:
+                return n
+            i, tok = m.start(), m.group()
+            if tok == "(*":
                 depth += 1
                 i += 2
-            elif src.startswith("*)", i):
+            elif tok == "*)":
                 depth -= 1
                 i += 2
                 if depth == 0:
                     return i
-            elif src[i] == '"':
+            elif tok == '"':
                 i = skip_string(i)
-            elif src[i] == "{" and skip_quoted(i) is not None:
-                i = skip_quoted(i)
-            elif src[i] == "'" and skip_char(i) is not None:
-                i = skip_char(i)
+            elif tok == "'":
+                i = skip_char(i) or i + 1
             else:
-                i += 1
-        return n
+                i = skip_quoted(i)
 
-    i = 0
-    while i < n:
-        c = src[i]
-        if src.startswith("(*", i):
-            j = skip_comment(i)
-            blank(i, j)
-        elif c == '"':
+    out, kept, i = [], 0, 0
+
+    def blank(a, b):
+        out.append(src[kept:a])
+        out.append(NOT_NEWLINE.sub(" ", src[a:b]))
+        return b
+
+    while True:
+        m = OPENER.search(src, i)
+        if not m:
+            break
+        i, tok = m.start(), m.group()
+        if tok == "(*":
+            i = kept = blank(i, skip_comment(i))
+        elif tok == '"':
             j = skip_string(i)
-            blank(i + 1, j - 1)
-        elif c == "{" and skip_quoted(i) is not None:
-            j = skip_quoted(i)
-            blank(i, j)
-        elif c == "'" and skip_char(i) is not None:
+            kept = blank(i + 1, j - 1)
+            i = j
+        elif tok == "'":
             j = skip_char(i)
-            blank(i + 1, j - 1)
+            if j is None:
+                i += 1
+            else:
+                kept = blank(i + 1, j - 1)
+                i = j
         else:
-            j = i + 1
-        i = j
+            i = kept = blank(i, skip_quoted(i))
+    out.append(src[kept:])
     return "".join(out)
 
 
@@ -148,6 +149,13 @@ def source_files():
 
 
 def main():
+    cache = {}
+
+    def stripped(path):
+        if path not in cache:
+            cache[path] = strip(open(path).read())
+        return cache[path]
+
     # Library wrapper name -> its modules; each module's exports.
     libs, exports, homes = {}, {}, {}
     for path in sorted(source_files()):
@@ -160,7 +168,7 @@ def main():
         libs.setdefault(lib, set()).add(mod)
         homes[os.path.join("lib", rel[1])] = lib
         if path.endswith(".mli"):
-            exports[(lib, mod)] = top_level_vals(strip(open(path).read()))
+            exports[(lib, mod)] = top_level_vals(stripped(path))
 
     uses = {(lib, mod, v): 0 for (lib, mod), vs in exports.items() for v in vs}
 
@@ -168,7 +176,7 @@ def main():
         rel = os.path.relpath(path, ROOT)
         own_lib = homes.get(os.path.dirname(rel))
         own_mod = os.path.splitext(os.path.basename(rel))[0].capitalize()
-        text = strip(open(path).read())
+        text = stripped(path)
 
         aliases = dict(
             re.findall(r"\bmodule\s+([A-Z]\w*)\s*=\s*(" + MODPATH + r")\b(?!\s*[.(])",
@@ -207,9 +215,6 @@ def main():
                         count(lib, mod, v)
 
     unused = sorted(k for k, n in uses.items() if n == 0)
-    if "--all" in sys.argv:
-        for k in sorted(uses):
-            print("%5d  %s" % (uses[k], ".".join(k)))
     status = 0
     for k in unused:
         name = ".".join(k)
