@@ -12,8 +12,6 @@ let v ~min_s ~max_s =
    up within microseconds, while a dead peer costs at most one wakeup per
    millisecond until the deadline. *)
 let poll = { min_s = 1e-6; max_s = 1e-3 }
-let first p = p.min_s
-let next p sleep = Float.min (sleep *. 2.0) p.max_s
 
 let wait_until ?(policy = poll) ~deadline ready =
   let rec go sleep =
@@ -21,7 +19,7 @@ let wait_until ?(policy = poll) ~deadline ready =
     else if Unix.gettimeofday () >= deadline then false
     else begin
       Unix.sleepf sleep;
-      go (next policy sleep)
+      go (Float.min (sleep *. 2.0) policy.max_s)
     end
   in
-  go (first policy)
+  go policy.min_s

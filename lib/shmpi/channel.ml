@@ -174,13 +174,13 @@ let recv_into t dst =
   else (payload, wait)
 
 (* OCaml's [Condition] carries no timed wait, so a deadline receive polls
-   the queue under the mutex and sleeps between probes with the shared
-   {!Backoff.poll} policy (1 us doubling to a 1 ms cap): a payload
-   already in flight is picked up within microseconds, while a dead
-   sender costs at most one wakeup per millisecond until the deadline. A
-   timed-out call pops nothing and pools nothing — the channel is left
-   exactly as found, so it remains usable (and its counters consistent)
-   after the timeout. *)
+   the queue under the mutex and sleeps between probes with
+   {!Backoff.wait_until}'s default policy (1 us doubling to a 1 ms cap):
+   a payload already in flight is picked up within microseconds, while a
+   dead sender costs at most one wakeup per millisecond until the
+   deadline. A timed-out call pops nothing and pools nothing — the
+   channel is left exactly as found, so it remains usable (and its
+   counters consistent) after the timeout. *)
 
 let recv_deadline t ~timeout_us =
   let t0 = Unix.gettimeofday () in

@@ -156,10 +156,10 @@ let barrier_impl t ~rank =
         done
     | Some timeout_us ->
         (* No timed [Condition.wait] in the stdlib, so the deadline path
-           polls the epoch with the shared {!Backoff.poll} policy, the
-           same one the channels use. A rank that gives up retracts its
-           arrival so the barrier's count stays consistent for whoever
-           inspects the wreckage. *)
+           polls the epoch with {!Backoff.wait_until}'s default policy,
+           the same one the channels use. A rank that gives up retracts
+           its arrival so the barrier's count stays consistent for
+           whoever inspects the wreckage. *)
         let t0 = Unix.gettimeofday () in
         let deadline = t0 +. (timeout_us *. 1e-6) in
         Mutex.unlock t.barrier_mutex;
