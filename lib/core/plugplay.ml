@@ -105,17 +105,22 @@ let nonwavefront_time (app : App_params.t) cfg =
    Tnonwavefront, and the four (r2b) communication terms. Those collapse
    into per-column and per-row tables because [Cmp.link_locality] of an
    E link depends only on its source column and of an S link only on its
-   source row (the node rectangle tiles the grid): O(cols + rows)
-   storage and locality probes, no recurrence.
+   source row, and the node rectangle tiles the grid from (1,1), so the
+   column table repeats with period [cx] and the row table with period
+   [cy]: [create] prices one period of each through [Cmp.link_locality]
+   and [Comm.*] and copies it along the row and the column. O(cols +
+   rows) storage, cx + cy locality probes, no recurrence.
 
    [run] is then pure float-array arithmetic over preallocated unboxed
    storage and allocates zero minor words per call (pinned by the
    telemetry gate; the compiler here is classic ocamlopt, so any record,
    closure or boxed cross-module float return in the loop would show up
    immediately). StartP is a single row of [cols] floats updated in
-   place: when cell (i,j) is computed, slot i-1 already holds
-   StartP(i-1,j) and slot i still holds StartP(i,j-1), the two cells
-   (r2b) reads. *)
+   place: slot i-1 always holds the newest StartP computed in column i.
+   Evaluated one row at a time, each cell's west candidate chains
+   through the cell just computed, so [run] evaluates rows in blocks of
+   four, row j+r one column behind row j+r-1: four independent chains
+   over the same row of slots (see [block]). *)
 module Eval = struct
   type out = {
     mutable t_diagfill : float;
@@ -130,9 +135,11 @@ module Eval = struct
     w_pre : float;
     msg_ew : int;
     msg_ns : int;
-    (* (r2b) terms per link: E-link out of column i, S-link out of row j. *)
+    (* (r2b) terms per link: E-link out of column i, S-link out of row j;
+       slot 0 of each is 0.0, and so is [ew_send.(cols)]: nothing is sent
+       east of the last column. *)
     ew_total : float array;  (* .(i), i in 1..cols-1 *)
-    ew_send : float array;
+    ew_send : float array;  (* .(i), i in 1..cols *)
     ns_total : float array;  (* .(j), j in 1..rows-1 *)
     ns_recv : float array;
     start : float array;  (* the StartP row, reused every run *)
@@ -152,20 +159,31 @@ module Eval = struct
     let w_pre = app.wg_pre *. cells_tile (* r1a *) in
     let msg_ew = App_params.message_size_ew app pg in
     let msg_ns = App_params.message_size_ns app pg in
-    let locality src dir = Cmp.link_locality cfg.cmp ~src dir in
+    (* One period of the node rectangle: the E links out of columns
+       1..cx and the S links out of rows 1..cy; the rest repeat it. *)
     let ew_total = Array.make (max 1 cols) 0.0 in
-    let ew_send = Array.make (max 1 cols) 0.0 in
-    for i = 1 to cols - 1 do
-      let loc = locality (i, 1) Cmp.E in
+    let ew_send = Array.make (cols + 1) 0.0 in
+    let cx = min cfg.cmp.cx (cols - 1) in
+    for i = 1 to cx do
+      let loc = Cmp.link_locality cfg.cmp ~src:(i, 1) Cmp.E in
       ew_total.(i) <- Comm.total cfg.platform loc msg_ew;
       ew_send.(i) <- Comm.send cfg.platform loc msg_ew
     done;
+    for i = cx + 1 to cols - 1 do
+      ew_total.(i) <- ew_total.(i - cx);
+      ew_send.(i) <- ew_send.(i - cx)
+    done;
     let ns_total = Array.make (max 1 rows) 0.0 in
     let ns_recv = Array.make (max 1 rows) 0.0 in
-    for j = 1 to rows - 1 do
-      let loc = locality (1, j) Cmp.S in
+    let cy = min cfg.cmp.cy (rows - 1) in
+    for j = 1 to cy do
+      let loc = Cmp.link_locality cfg.cmp ~src:(1, j) Cmp.S in
       ns_total.(j) <- Comm.total cfg.platform loc msg_ns;
       ns_recv.(j) <- Comm.receive cfg.platform loc msg_ns
+    done;
+    for j = cy + 1 to rows - 1 do
+      ns_total.(j) <- ns_total.(j - cy);
+      ns_recv.(j) <- ns_recv.(j - cy)
     done;
     (* (r4): all communication off-node; bus interference added per
        Table 6. *)
@@ -214,38 +232,114 @@ module Eval = struct
       out = { t_diagfill = 0.0; t_fullfill = 0.0; t_iteration = 0.0 };
     }
 
+  (* (r2b) at cell (i,j), with the reference's additions in the
+     reference's order: [left] is StartP(i-1,j) and [above] StartP(i,j-1);
+     [ewt] and [nsr] price the E link into the cell and the S link out of
+     the cell above, [ews] and [nst] the E link out of the cell above and
+     the S link into the cell. A missing neighbour is [neg_infinity],
+     whose candidate then loses. Inlined, so its floats stay unboxed. *)
+  let[@inline] r2b ~w ~left ~ewt ~nsr ~above ~ews ~nst =
+    let fw = left +. w +. ewt +. nsr in
+    let fn = above +. w +. ews +. nst in
+    (* plain compare, not [Float.max]: neither side is ever nan or -0.,
+       and the call would box its float arguments *)
+    if fw >= fn then fw else fn
+
+  (* The loops below index [start] (cols slots), [ew_total] (at least
+     cols) and [ew_send] (cols + 1) only at columns 1..cols, so they read
+     and write them unchecked: the bounds checks cost more than the
+     arithmetic they guard (the loop ran 1.5x slower with them). *)
+  external get : float array -> int -> float = "%array_unsafe_get"
+  external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
+  (* Row [j] over columns [lo..hi] (1 <= lo, hi <= cols), in place, its
+     newest value carried in a local. Slot i-1 holds StartP(i,j-1) on
+     entry and StartP(i,j) on exit; slot lo-2 already holds
+     StartP(lo-1,j). *)
+  let segment e j lo hi =
+    let s = e.start and w = e.w in
+    let ewt = e.ew_total and ews = e.ew_send in
+    let nsr = e.ns_recv.(j - 1) and nst = e.ns_total.(j - 1) in
+    let left = ref (if lo = 1 then neg_infinity else s.(lo - 2)) in
+    for i = lo to hi do
+      let v =
+        r2b ~w ~left:!left ~ewt:(get ewt (i - 1)) ~nsr ~above:(get s (i - 1))
+          ~ews:(get ews i) ~nst
+      in
+      set s (i - 1) v;
+      left := v
+    done
+
+  (* Rows j..j+3, with cols >= 4, as a wavefront of their own. At step
+     k, row j+r computes column i = k-r: its west neighbour is its own
+     previous value, and its north neighbour is what row j+r-1 computed
+     at step k-1, both held in locals; the cell then overwrites slot
+     i-1, which row j+r-1 never reads again. The four chains are
+     independent, so their additions overlap. The triangles before the
+     first full step and after the last go row by row. *)
+  let block e j =
+    let cols = e.cols in
+    for r = 0 to 3 do
+      segment e (j + r) 1 (4 - r)
+    done;
+    let s = e.start and w = e.w in
+    let ewt = e.ew_total and ews = e.ew_send in
+    let nsr = e.ns_recv and nst = e.ns_total in
+    let nsr0 = nsr.(j - 1) and nsr1 = nsr.(j) in
+    let nsr2 = nsr.(j + 1) and nsr3 = nsr.(j + 2) in
+    let nst0 = nst.(j - 1) and nst1 = nst.(j) in
+    let nst2 = nst.(j + 1) and nst3 = nst.(j + 2) in
+    let a0 = ref s.(3) and a1 = ref s.(2) in
+    let a2 = ref s.(1) and a3 = ref s.(0) in
+    for k = 5 to cols do
+      let v0 =
+        r2b ~w ~left:!a0 ~ewt:(get ewt (k - 1)) ~nsr:nsr0
+          ~above:(get s (k - 1)) ~ews:(get ews k) ~nst:nst0
+      in
+      let v1 =
+        r2b ~w ~left:!a1 ~ewt:(get ewt (k - 2)) ~nsr:nsr1 ~above:!a0
+          ~ews:(get ews (k - 1)) ~nst:nst1
+      in
+      let v2 =
+        r2b ~w ~left:!a2 ~ewt:(get ewt (k - 3)) ~nsr:nsr2 ~above:!a1
+          ~ews:(get ews (k - 2)) ~nst:nst2
+      in
+      let v3 =
+        r2b ~w ~left:!a3 ~ewt:(get ewt (k - 4)) ~nsr:nsr3 ~above:!a2
+          ~ews:(get ews (k - 3)) ~nst:nst3
+      in
+      set s (k - 1) v0;
+      set s (k - 2) v1;
+      set s (k - 3) v2;
+      set s (k - 4) v3;
+      a0 := v0;
+      a1 := v1;
+      a2 := v2;
+      a3 := v3
+    done;
+    for r = 1 to 3 do
+      segment e (j + r) (cols - r + 1) cols
+    done
+
   let run e =
     let cols = e.cols and rows = e.rows in
-    let row = e.start in
-    let ewt = e.ew_total and ews = e.ew_send in
-    let nst = e.ns_total and nsr = e.ns_recv in
-    let w = e.w in
-    for j = 1 to rows do
-      for i = 1 to cols do
-        if i = 1 && j = 1 then row.(0) <- e.w_pre (* r2a *)
-        else begin
-          let fw =
-            if i = 1 then neg_infinity
-            else
-              row.(i - 2) +. w +. ewt.(i - 1)
-              +. (if j = 1 then 0.0 else nsr.(j - 1))
-          in
-          let fn =
-            if j = 1 then neg_infinity
-            else
-              row.(i - 1) +. w
-              +. (if i = cols then 0.0 else ews.(i))
-              +. nst.(j - 1)
-          in
-          (* plain compare, not [Float.max]: neither side is ever nan or
-             -0., and the call would box its float arguments *)
-          row.(i - 1) <- (if fw >= fn then fw else fn) (* r2b *)
-        end
-      done
+    let s = e.start in
+    (* Row 1: (r2a), then (r2b) with no row above. *)
+    Array.fill s 0 cols neg_infinity;
+    s.(0) <- e.w_pre (* r2a *);
+    segment e 1 2 cols;
+    let j = ref 2 in
+    if cols >= 4 then
+      while !j + 3 <= rows do
+        block e !j;
+        j := !j + 4
+      done;
+    for j = !j to rows do
+      segment e j 1 cols
     done;
     let o = e.out in
-    o.t_diagfill <- row.(0) (* r3a *);
-    o.t_fullfill <- row.(cols - 1) (* r3b *);
+    o.t_diagfill <- s.(0) (* r3a *);
+    o.t_fullfill <- s.(cols - 1) (* r3b *);
     o.t_iteration <-
       (e.ndiag *. o.t_diagfill)
       +. (e.nfull *. o.t_fullfill)
