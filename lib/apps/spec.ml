@@ -1,6 +1,6 @@
 (* Textual application specifications: the plug-and-play workflow without
    recompiling. A spec is a list of KEY = VALUE lines ('#' starts a
-   comment); unknown keys are an error, so typos fail loudly.
+   comment); unknown and repeated keys are errors, so typos fail loudly.
 
      # hydra.spec
      name = hydra
@@ -47,7 +47,8 @@ let parse_line lineno line =
         else Ok (Some (String.lowercase_ascii key, value))
 
 (* Bindings keep the line each came from, so value errors can point at
-   the offending line rather than just naming the key. *)
+   the offending line rather than just naming the key. A key set twice
+   is an error: neither value could be said to win. *)
 let parse_bindings text =
   let lines = String.split_on_char '\n' text in
   let rec go acc lineno = function
@@ -56,7 +57,12 @@ let parse_bindings text =
         match parse_line lineno line with
         | Error e -> Error e
         | Ok None -> go acc (lineno + 1) rest
-        | Ok (Some (k, v)) -> go ((k, (v, lineno)) :: acc) (lineno + 1) rest)
+        | Ok (Some (k, v)) -> (
+            match List.assoc_opt k acc with
+            | Some (_, first) ->
+                err "line %d: repeated key %S (first set on line %d)" lineno k
+                  first
+            | None -> go ((k, (v, lineno)) :: acc) (lineno + 1) rest))
   in
   go [] 1 lines
 

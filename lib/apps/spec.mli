@@ -1,6 +1,7 @@
 (** Textual application specifications (KEY = VALUE lines, ['#'] comments):
     the plug-and-play workflow without recompiling. See the implementation
-    header for the format; required keys are [nx], [ny], [nz] and [wg]. *)
+    header for the format; required keys are [nx], [ny], [nz] and [wg].
+    An unknown or repeated key is an error naming its line. *)
 
 type error = [ `Msg of string ]
 

@@ -44,6 +44,20 @@ let finite what x =
   if not (Float.is_finite x) then
     invalid_arg ("App_params.v: " ^ what ^ " must be finite")
 
+let non_negative what x =
+  if x < 0.0 then invalid_arg ("App_params.v: " ^ what ^ " must be >= 0")
+
+(* The most tiles a sweep may have. A tinier height would overflow the
+   integer tile count and every wave-indexed table built from it. *)
+let max_tiles = 1 lsl 20
+
+let check_tiles fn (grid : Data_grid.t) htile =
+  if Float.ceil (float_of_int grid.nz /. htile) > float_of_int max_tiles then
+    invalid_arg
+      (Printf.sprintf
+         "%s: htile must give at most %d tiles per sweep (nz / htile)" fn
+         max_tiles)
+
 let v ?(wg_pre = 0.0) ?(nonwavefront = No_op) ?(iterations = 1) ~name ~grid
     ~wg ~htile ~schedule ~bytes_per_cell_ew ~bytes_per_cell_ns () =
   finite "wg" wg;
@@ -55,14 +69,23 @@ let v ?(wg_pre = 0.0) ?(nonwavefront = No_op) ?(iterations = 1) ~name ~grid
   | Stencil { wg_stencil; halo_bytes_per_cell } ->
       finite "stencil wg" wg_stencil;
       finite "stencil halo bytes per cell" halo_bytes_per_cell;
+      non_negative "stencil wg" wg_stencil;
       if halo_bytes_per_cell <= 0.0 then
         invalid_arg
           "App_params.v: stencil halo bytes per cell must be positive"
-  | Fixed us -> finite "fixed non-wavefront cost" us
-  | No_op | Allreduce _ -> ());
+  | Fixed us ->
+      finite "fixed non-wavefront cost" us;
+      non_negative "fixed non-wavefront cost" us
+  | Allreduce { count; msg_size } ->
+      if count < 0 then
+        invalid_arg "App_params.v: allreduce count must be >= 0";
+      if msg_size < 0 then
+        invalid_arg "App_params.v: allreduce message size must be >= 0"
+  | No_op -> ());
   if wg <= 0.0 then invalid_arg "App_params.v: wg must be positive";
   if wg_pre < 0.0 then invalid_arg "App_params.v: wg_pre must be >= 0";
   if htile <= 0.0 then invalid_arg "App_params.v: htile must be positive";
+  check_tiles "App_params.v" grid htile;
   if bytes_per_cell_ew <= 0.0 || bytes_per_cell_ns <= 0.0 then
     invalid_arg "App_params.v: message payloads must be positive";
   if iterations < 1 then invalid_arg "App_params.v: iterations must be >= 1";
@@ -76,6 +99,7 @@ let with_htile t htile =
     invalid_arg "App_params.with_htile: htile must be finite";
   if htile <= 0.0 then
     invalid_arg "App_params.with_htile: htile must be positive";
+  check_tiles "App_params.with_htile" t.grid htile;
   { t with htile }
 
 let counts t = Sweeps.Schedule.counts t.schedule

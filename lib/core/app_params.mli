@@ -42,10 +42,15 @@ val v :
   bytes_per_cell_ns:float ->
   unit ->
   t
-(** Validates that every float is finite, and the positivity of the work,
-    tile and payload parameters and of a stencil's halo face. *)
+(** Validates that every float is finite; the positivity of the work,
+    tile and payload parameters and of a stencil's halo face; that no
+    non-wavefront cost or count is negative; and that [htile] gives at
+    most 2^20 = 1,048,576 tiles per sweep ([ceil (nz / htile)]). Raises
+    [Invalid_argument] naming the field otherwise. *)
 
 val with_htile : t -> float -> t
+(** [t] with another tile height, checked as {!v} checks it: finite,
+    positive and at most 2^20 tiles per sweep. *)
 
 val counts : t -> Sweeps.Schedule.counts
 (** The schedule's [nsweeps], [nfull], [ndiag] (Table 3). *)

@@ -21,17 +21,20 @@
 
 (* The bucket grid interleaves each bucket's fields, so folding a cell
    touches one bucket's two cache lines rather than one line in each of
-   ten grid-sized arrays: cells arrive rank by rank along a diagonal,
-   and consecutive cells land in different buckets. *)
-let stride = 8
+   nine grid-sized arrays: cells arrive rank by rank along a diagonal,
+   and consecutive cells land in different buckets. The span and member
+   counts are float sums of small integers, exact far past any run's
+   cell count, so they share the bucket's lines too. *)
+let stride = 9
 let f_compute = 0
 let f_send = 1
 let f_recv = 2
 let f_wait = 3
 let f_other = 4
-let f_idle = 5
-let f_tmin = 6
-let f_tmax = 7
+let f_tmin = 5
+let f_tmax = 6
+let f_spans = 7
+let f_members = 8
 
 type t = {
   ranks : int;
@@ -39,13 +42,12 @@ type t = {
   rank_buckets : int;  (* heatmap rows *)
   wave_buckets : int;  (* heatmap wavefront columns (epilogue extra) *)
   (* bucket grid, bucket [i = rb * (wave_buckets + 1) + cb]: per-metric
-     sums and the window envelope at [grid.(stride * i + f)] for each
-     field offset [f], span and member counts at [counts.(2 * i)] and
-     [counts.(2 * i + 1)]. The grid is not initialized: a bucket's
-     fields are zeroed when its first member arrives, and readers skip
-     buckets with no members. *)
+     sums, the window envelope and the span and member counts at
+     [grid.(stride * i + f)] for each field offset [f]. The grid is not
+     initialized: [seen] marks the buckets whose first member has
+     arrived, their fields are zeroed then, and readers skip the rest. *)
   grid : float array;
-  counts : int array;
+  seen : Bytes.t;
   (* exact per-column totals, index [col] with [waves] = epilogue *)
   col_compute : float array;
   col_send : float array;
@@ -72,7 +74,7 @@ let create ?(max_rank_buckets = 512) ?(max_wave_buckets = 256) ~ranks ~waves
     rank_buckets;
     wave_buckets;
     grid = Array.create_float (stride * ncells);
-    counts = Array.make (2 * ncells) 0;
+    seen = Bytes.make ncells '\000';
     col_compute = Array.make (waves + 1) 0.0;
     col_send = Array.make (waves + 1) 0.0;
     col_recv = Array.make (waves + 1) 0.0;
@@ -108,10 +110,10 @@ let wave_bucket_bounds t cb =
     (lo, hi)
   end
 
-(* A bucket's 8 fields are zeroed when its first member arrives. The
-   cells' idle time is 0 ([Cell_batch]), so the idle sums stay 0 and are
-   not accumulated. Each cell is counted as it is folded, so a stray
-   cell leaves the ones before it folded and counted. *)
+(* A bucket's fields are zeroed when its first member arrives. The
+   cells' idle time is 0 ([Cell_batch]), so the grid keeps no idle sums.
+   Each cell is counted as it is folded, so a stray cell leaves the ones
+   before it folded and counted. *)
 let sink t (b : Cell_batch.t) =
   let ints = b.ints and fl = b.floats and g = t.grid in
   for c = 0 to b.n - 1 do
@@ -125,17 +127,20 @@ let sink t (b : Cell_batch.t) =
     let other = t_end -. t_start -. compute -. send -. recv -. wait in
     let rb = rank_bucket t rank in
     let i = (rb * (t.wave_buckets + 1)) + wave_bucket t col in
-    let n = t.counts.((2 * i) + 1) and o = stride * i in
-    if n = 0 then Array.fill g o stride 0.0;
-    t.counts.(2 * i) <- t.counts.(2 * i) + spans;
-    t.counts.((2 * i) + 1) <- n + 1;
+    let first = Bytes.get t.seen i = '\000' and o = stride * i in
+    if first then begin
+      Bytes.set t.seen i '\001';
+      Array.fill g o stride 0.0
+    end;
+    g.(o + f_spans) <- g.(o + f_spans) +. float_of_int spans;
+    g.(o + f_members) <- g.(o + f_members) +. 1.0;
     g.(o + f_compute) <- g.(o + f_compute) +. compute;
     g.(o + f_send) <- g.(o + f_send) +. send;
     g.(o + f_recv) <- g.(o + f_recv) +. recv;
     g.(o + f_wait) <- g.(o + f_wait) +. wait;
     g.(o + f_other) <- g.(o + f_other) +. other;
-    if n = 0 || t_start < g.(o + f_tmin) then g.(o + f_tmin) <- t_start;
-    if n = 0 || t_end > g.(o + f_tmax) then g.(o + f_tmax) <- t_end;
+    if first || t_start < g.(o + f_tmin) then g.(o + f_tmin) <- t_start;
+    if first || t_end > g.(o + f_tmax) then g.(o + f_tmax) <- t_end;
     t.col_compute.(col) <- t.col_compute.(col) +. compute;
     t.col_send.(col) <- t.col_send.(col) +. send;
     t.col_recv.(col) <- t.col_recv.(col) +. recv;
@@ -149,12 +154,12 @@ let sink t (b : Cell_batch.t) =
   done
 
 let gf t i f = t.grid.((stride * i) + f)
-let spans_of t i = t.counts.(2 * i)
-let count_of t i = t.counts.((2 * i) + 1)
+let spans_of t i = int_of_float (gf t i f_spans)
+
+let count_of t i =
+  if Bytes.get t.seen i = '\000' then 0 else int_of_float (gf t i f_members)
 
 let cells t = t.cells
-let ranks t = t.ranks
-let waves t = t.waves
 let rank_buckets t = t.rank_buckets
 let wave_buckets t = t.wave_buckets
 
@@ -191,7 +196,7 @@ let to_timeline t : Timeline.t =
         recv = gf t i f_recv /. fn;
         wait = gf t i f_wait /. fn;
         other = gf t i f_other /. fn;
-        idle = gf t i f_idle /. fn;
+        idle = 0.0;
         spans = spans_of t i;
       }
   in
@@ -243,7 +248,7 @@ let emit_csv t out =
              (if whi = t.waves then -1 else whi)
              (count_of t i) (gf t i f_tmin) (gf t i f_tmax)
              (gf t i f_compute) (gf t i f_send) (gf t i f_recv)
-             (gf t i f_wait) (gf t i f_other) (gf t i f_idle)
+             (gf t i f_wait) (gf t i f_other) 0.0
              (spans_of t i));
         incr rows;
         if !rows mod flush_every = 0 then begin
@@ -293,7 +298,7 @@ let emit_json ?(label = "") t out =
              (if whi = t.waves then -1 else whi)
              (count_of t i) (gf t i f_tmin) (gf t i f_tmax)
              (gf t i f_compute) (gf t i f_send) (gf t i f_recv)
-             (gf t i f_wait) (gf t i f_other) (gf t i f_idle)
+             (gf t i f_wait) (gf t i f_other) 0.0
              (spans_of t i));
         incr rows;
         if !rows mod flush_every = 0 then begin

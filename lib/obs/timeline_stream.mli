@@ -40,8 +40,6 @@ val sink : t -> Cell_batch.t -> unit
 val cells : t -> int
 (** Cells folded so far. *)
 
-val ranks : t -> int
-val waves : t -> int
 val rank_buckets : t -> int
 val wave_buckets : t -> int
 

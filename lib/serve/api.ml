@@ -239,6 +239,8 @@ let parse_sweep body =
           (fun v ->
             let h = num_item "htile" v in
             if h <= 0.0 then fail "htile values must be > 0";
+            (* the tile ceiling, checked here so that it is a 400 *)
+            ignore (App_params.with_htile base h);
             h)
           (get_list "htile" j)
       in

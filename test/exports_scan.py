@@ -30,12 +30,6 @@ ALLOWLIST = {
         "schema id of the ledger's JSONL records, which readers check",
     "Obs.Timeline_stream.schema":
         "schema id of the streamed timeline export, which readers check",
-    "Obs.Timeline_stream.ranks":
-        "no caller; hiding it deletes its definition from timeline_stream.ml, "
-        "which is held unchanged until its next edit (ROADMAP item 9)",
-    "Obs.Timeline_stream.waves":
-        "no caller; hiding it deletes its definition from timeline_stream.ml, "
-        "which is held unchanged until its next edit (ROADMAP item 9)",
 }
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"

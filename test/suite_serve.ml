@@ -457,6 +457,13 @@ let test_defense_matrix () =
     (status_of
        (post ~port "/v1/predict"
           {|{"app":{"name":"hpl","nx":8,"ny":8,"nz":8},"machine":{"platform":"xt4","cores":4,"cores_per_node":1}}|}));
+  (* An htile past the 2^20-tiles-per-sweep ceiling is the client's
+     error, caught while the sweep is parsed. *)
+  Alcotest.(check (option int)) "sweep htile past the tile ceiling 400"
+    (Some 400)
+    (status_of
+       (post ~port "/v1/sweep"
+          {|{"app":{"name":"lu","nx":32,"ny":32,"nz":32},"machine":{"platform":"xt4","cores_per_node":2},"htile":[1e-300],"grids":[[4,4]],"k":[0]}|}));
   Alcotest.(check (option int)) "oversized advertisement 413" (Some 413)
     (status_of
        (raw_request ~port

@@ -35,11 +35,17 @@ let test_alloc_counts_boxing () =
 
 (* --- Plugplay.Eval: the allocation-free closed-form evaluator --- *)
 
+(* [Eval.run] evaluates rows 2..rows in blocks of four and the rows
+   left over one at a time; these grids leave every remainder: 16x16,
+   8x8 and 32x32 leave 3 rows, 9x5 none, 683x6 one and 10x7 two. *)
 let eval_cases =
   [
     ("sweep3d p256", Apps.Sweep3d.params (Wgrid.Data_grid.cube 64), 256, 2);
     ("lu p64", Apps.Lu.params (Wgrid.Data_grid.cube 48), 64, 4);
     ("chimaera p1024", Apps.Chimaera.params (Wgrid.Data_grid.cube 96), 1024, 2);
+    ("lu p45", Apps.Lu.params (Wgrid.Data_grid.cube 48), 45, 4);
+    ("sweep3d p4098", Apps.Sweep3d.params (Wgrid.Data_grid.cube 256), 4098, 2);
+    ("chimaera p70", Apps.Chimaera.params (Wgrid.Data_grid.cube 96), 70, 8);
   ]
 
 let cfg_of ~cores ~cpn =
@@ -141,6 +147,45 @@ let prop_iteration_matches_reference =
       && same "t_fullfill" r.t_fullfill ref_.t_fullfill
       && same "t_stack" r.t_stack ref_.t_stack
       && same "t_iteration" r.t_iteration ref_.t_iteration)
+
+(* The same bit-identity on fixed grids: every shape up to 9x9 (grids
+   narrower than a block, exactly four columns wide, and every number of
+   rows left over after the four-row blocks) at 1, 2, 4 and 8 cores per
+   node, a square 256x256 grid and the wide, short 683x6 one. *)
+let test_eval_grids_match_reference () =
+  let check app ~cols ~rows ~cpn =
+    let cfg =
+      Plugplay.config
+        ~cmp:(Wgrid.Cmp.of_cores_per_node cpn)
+        ~pgrid:(Wgrid.Proc_grid.v ~cols ~rows)
+        (Loggp.Params.with_cores_per_node Loggp.Params.xt4 cpn)
+        ~cores:(cols * rows)
+    in
+    let r = Plugplay.iteration app cfg and ref_ = Plugplay_ref.iteration app cfg in
+    let same name a b =
+      Alcotest.(check int64)
+        (Printf.sprintf "%s %dx%d, %d cores/node: %s" app.App_params.name cols
+           rows cpn name)
+        (Int64.bits_of_float b) (Int64.bits_of_float a)
+    in
+    same "t_diagfill" r.t_diagfill ref_.t_diagfill;
+    same "t_fullfill" r.t_fullfill ref_.t_fullfill;
+    same "t_iteration" r.t_iteration ref_.t_iteration
+  in
+  let sweep3d = Apps.Sweep3d.params (Wgrid.Data_grid.cube 64) in
+  let lu = Apps.Lu.params (Wgrid.Data_grid.cube 48) in
+  List.iter
+    (fun cpn ->
+      for cols = 1 to 9 do
+        for rows = 1 to 9 do
+          check sweep3d ~cols ~rows ~cpn;
+          check lu ~cols ~rows ~cpn
+        done
+      done)
+    [ 1; 2; 4; 8 ];
+  let big = Apps.Sweep3d.params (Wgrid.Data_grid.cube 256) in
+  check big ~cols:256 ~rows:256 ~cpn:2;
+  check big ~cols:683 ~rows:6 ~cpn:2
 
 (* The accessors read the same run [result] reports. *)
 let test_eval_accessors () =
@@ -374,6 +419,8 @@ let suite =
     ( "telemetry.eval",
       [
         QCheck_alcotest.to_alcotest prop_iteration_matches_reference;
+        Alcotest.test_case "every grid to 9x9, 256x256, 683x6 = reference"
+          `Quick test_eval_grids_match_reference;
         Alcotest.test_case "accessors agree with result" `Quick
           test_eval_accessors;
         Alcotest.test_case "rerun stability" `Quick test_eval_rerun_stable;
