@@ -1409,12 +1409,14 @@ let alloc_targets =
         "Api.predict_into: the daemon's parse -> Eval.create/run -> \
          serialize hot path (ratchet, not zero: JSON parse, the O(cols + \
          rows) tables and the response render allocate a bounded amount)";
-      (* Measured at 3,256 minor words per request on this body at the
-         default 4096-core (64x64) grid: the JSON parse, the response
-         render and Eval.create's four O(cols + rows) (r2b) tables plus
-         its one-row StartP buffer. The ratchet pins 16k: a return to the
-         per-cell path (a locality probe and boxed floats in every cell,
-         ~51 words per core) measures 211k here and trips it. *)
+      (* Measured at 1,530 minor words per request on this body at the
+         default 4096-core (64x64) grid, and 1,224 at 4098 cores (683x6):
+         the JSON parse, the response render and Eval.create's four
+         O(cols + rows) (r2b) tables plus its one-row StartP buffer.
+         Probing every column's and row's link locality, with a tuple
+         each, measured 3,256 and 12,167. The ratchet pins 16k: a return
+         to the per-cell path (a locality probe and boxed floats in every
+         cell, ~51 words per core) measures 211k here and trips it. *)
       budget = 16_384.0;
       titerations = 1000;
       prepare =

@@ -234,10 +234,11 @@ module Eval = struct
 
   (* (r2b) at cell (i,j), with the reference's additions in the
      reference's order: [left] is StartP(i-1,j) and [above] StartP(i,j-1);
-     [ewt] and [nsr] price the E link into the cell and the S link out of
-     the cell above, [ews] and [nst] the E link out of the cell above and
-     the S link into the cell. A missing neighbour is [neg_infinity],
-     whose candidate then loses. Inlined, so its floats stay unboxed. *)
+     [ewt] is the total of the E link into the cell, [nsr] and [nst] the
+     receive and the total of the S link into it, and [ews] the send of
+     the E link out of the cell above. A missing neighbour is
+     [neg_infinity], whose candidate then loses. Inlined, so its floats
+     stay unboxed. *)
   let[@inline] r2b ~w ~left ~ewt ~nsr ~above ~ews ~nst =
     let fw = left +. w +. ewt +. nsr in
     let fn = above +. w +. ews +. nst in
@@ -248,7 +249,7 @@ module Eval = struct
   (* The loops below index [start] (cols slots), [ew_total] (at least
      cols) and [ew_send] (cols + 1) only at columns 1..cols, so they read
      and write them unchecked: the bounds checks cost more than the
-     arithmetic they guard (the loop ran 1.5x slower with them). *)
+     arithmetic they guard (the loop ran 1.6x slower with them). *)
   external get : float array -> int -> float = "%array_unsafe_get"
   external set : float array -> int -> float -> unit = "%array_unsafe_set"
 

@@ -84,14 +84,20 @@ val pp_result : result Fmt.t
 (** The evaluator behind {!iteration}, and the only implementation of
     (r2a)/(r2b). [create] computes every closed-form term outright —
     (r1) work, the message sizes, (r4), Tnonwavefront — and builds the
-    per-column and per-row (r2b) communication tables: O(cols + rows)
-    storage and locality probes, no recurrence. [run] executes the
-    pipeline-fill recurrence over a single StartP row of [cols] floats
-    updated in place, with zero minor-heap allocation per call (the
-    telemetry gate pins it at exactly 0 words); results are read
-    through the accessors after a [run]. The test suite holds it, bit
-    for bit, to a cell-by-cell transcription of the equations. Not
-    synchronized: one evaluator per domain. *)
+    per-column and per-row (r2b) communication tables. The node
+    rectangle tiles the grid, so it prices one period of links (the
+    [cx] E links and [cy] S links of one node) and copies that period
+    along the row and the column: O(cols + rows) storage, [cx + cy]
+    locality probes, no recurrence. [run] executes the pipeline-fill
+    recurrence over a single StartP row of [cols] floats updated in
+    place. Past the first row it evaluates the rows in blocks of four,
+    row j+r one column behind row j+r-1, so the four rows' dependency
+    chains overlap; the rows left over go one at a time. Every cell does
+    the equations' additions in their order, and [run] allocates zero
+    minor-heap words per call (the telemetry gate pins it at exactly 0
+    words); results are read through the accessors after a [run]. The
+    test suite holds it, bit for bit, to a cell-by-cell transcription of
+    the equations. Not synchronized: one evaluator per domain. *)
 module Eval : sig
   type t
 
