@@ -338,6 +338,287 @@ let test_sweep_prices_every_k () =
         (Int64.bits_of_float (p.t_iter +. p.overhead)))
     points expected
 
+(* --- response bytes: the renderers against a Printf reference ---------- *)
+
+(* The [wavefront-predict/v1] and [wavefront-sweep/v1] renderers as they
+   were first written, with [Printf.bprintf] and [%.17g]: the reference
+   whose bytes the daemon's renderers must reproduce exactly. *)
+let ref_add_json_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let ref_predict (p : Serve.Api.predict) ~validation =
+  let b = Buffer.create 1024 in
+  let r = Plugplay.iteration p.app p.cfg in
+  Buffer.add_string b {|{"schema":"wavefront-predict/v1","app":|};
+  ref_add_json_string b p.app.App_params.name;
+  Buffer.add_string b {|,"platform":|};
+  ref_add_json_string b p.platform.Loggp.Params.name;
+  Printf.bprintf b
+    {|,"cores":%d,"cores_per_node":%d,"t_iteration":%.17g,"t_diagfill":%.17g,"t_fullfill":%.17g,"t_stack":%.17g,"t_nonwavefront":%.17g,"w":%.17g,"w_pre":%.17g,"msg_ew":%d,"msg_ns":%d,"time_per_time_step":%.17g|}
+    p.cores p.cpn r.Plugplay.t_iteration r.t_diagfill r.t_fullfill r.t_stack
+    r.t_nonwavefront r.w r.w_pre r.msg_ew r.msg_ns
+    (float_of_int p.app.App_params.iterations *. r.t_iteration);
+  (match (validation : Serve.Api.validation) with
+  | Not_requested -> Buffer.add_string b {|,"degraded":false,"validation":null|}
+  | Degraded reason ->
+      Buffer.add_string b {|,"degraded":true,"validation":null,"reason":|};
+      ref_add_json_string b reason
+  | Validated { cores; engine; model; error_pct } ->
+      Printf.bprintf b
+        {|,"degraded":false,"validation":{"cores":%d,"engine":%.17g,"model":%.17g,"error_pct":%.17g}|}
+        cores engine model error_pct);
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let ref_add_points b points =
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i (p : Serve.Api.point) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b
+        {|{"htile":%.17g,"cols":%d,"rows":%d,"k":%d,"cores":%d,"t_iteration":%.17g,"overhead":%.17g,"total":%.17g}|}
+        p.htile p.cols p.rows p.k p.cores p.t_iter p.overhead p.total)
+    points;
+  Buffer.add_char b ']'
+
+let ref_sweep ~app ~platform ~cpn ~declared points =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b {|{"schema":"wavefront-sweep/v1","app":|};
+  ref_add_json_string b app;
+  Buffer.add_string b {|,"platform":|};
+  ref_add_json_string b platform;
+  Printf.bprintf b {|,"cores_per_node":%d,"points":%d,"evaluated":|} cpn
+    declared;
+  ref_add_points b points;
+  Buffer.add_string b {|,"frontier":|};
+  ref_add_points b (Serve.Api.pareto points);
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+(* Floats whose [%.17g] text is easy to get wrong: signed zeros,
+   subnormals, the extremes, NaN payloads and infinities, and values of
+   18 significant digits ending in 5 (m + 0.25 or m + 0.75 with m just
+   above 1e15, where the ulp is 1/8), which [%.17g] must round as a
+   tie. *)
+let edge_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          oneofl
+            [
+              0.0; -0.0; Float.nan; -.Float.nan; Float.infinity;
+              Float.neg_infinity; Float.min_float; -.Float.min_float;
+              Float.max_float; -.Float.max_float; 1e300; -1e300;
+              Int64.float_of_bits 1L; Float.min_float /. 3.0;
+              1234567890123456.25; 0.1; 1.0; 2.5; 1e15; 1e-7;
+            ] );
+        ( 2,
+          map2
+            (fun m q ->
+              Int64.to_float (Int64.add 1_000_000_000_000_000L (Int64.of_int m))
+              +. q)
+            (int_bound 100_000_000_000) (oneofl [ 0.25; 0.75 ]) );
+        (2, map (fun i -> Int64.float_of_bits (Int64.of_int i)) int);
+        (2, map (fun x -> x *. 1e-310) (float_bound_inclusive 1.0));
+        (3, float);
+      ])
+
+let edge_int =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl [ min_int; max_int; 0; -1; 1 ]); (2, int); (2, small_signed_int) ])
+
+(* The next value in a run: the previous one itself (the common case in a
+   sweep, where every K of an (Htile, grid) pair repeats both), one ulp
+   away, its negation (+0 and -0 compare equal but print apart), or a
+   fresh edge value. *)
+let run_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return Fun.id);
+        (1, return Float.succ);
+        (1, return Float.neg);
+        (3, map (fun x _ -> x) edge_float);
+      ])
+
+let gen_points =
+  QCheck.Gen.(
+    map
+      (fun steps ->
+        let _, _, pts =
+          List.fold_left
+            (fun (h, t, acc) (dh, dt, cols, rows, k, cores, overhead, total) ->
+              let h = dh h and t = dt t in
+              ( h,
+                t,
+                {
+                  Serve.Api.htile = h;
+                  cols;
+                  rows;
+                  k;
+                  cores;
+                  t_iter = t;
+                  overhead;
+                  total;
+                }
+                :: acc ))
+            (1.0, 100.0, []) steps
+        in
+        List.rev pts)
+      (list_size (int_bound 40)
+         (map
+            (fun ((dh, dt, cols, rows), (k, cores, overhead, total)) ->
+              (dh, dt, cols, rows, k, cores, overhead, total))
+            (pair
+               (quad run_step run_step edge_int edge_int)
+               (quad edge_int edge_int edge_float edge_float)))))
+
+let any_string = QCheck.Gen.(string_size ~gen:char (int_bound 12))
+
+let apps = [ "lu"; "sweep3d"; "chimaera" ]
+
+let app_name key =
+  let grid = Wgrid.Data_grid.cube 24 in
+  (match key with
+  | "lu" -> Apps.Lu.params grid
+  | "sweep3d" -> Apps.Sweep3d.params grid
+  | _ -> Apps.Chimaera.params grid)
+    .App_params.name
+
+(* Both renderings around their first difference. *)
+let bytes_differ expected got =
+  let n = min (String.length expected) (String.length got) in
+  let rec first i = if i < n && expected.[i] = got.[i] then first (i + 1) else i in
+  let i = first 0 in
+  let around s =
+    let lo = max 0 (i - 60) in
+    String.sub s lo (min (String.length s - lo) 120)
+  in
+  QCheck.Test.fail_reportf "bytes differ at offset %d:@.expected ...%s...@.got      ...%s..."
+    i (around expected) (around got)
+
+let platforms =
+  [
+    ("xt4", Loggp.Params.xt4);
+    ("sp2", Loggp.Params.sp2);
+    ("bluegene_l", Loggp.Params.bluegene_l);
+    ("red_storm", Loggp.Params.red_storm);
+  ]
+
+let prop_sweep_bytes =
+  let buf = Buffer.create 16 in
+  QCheck.Test.make ~name:"sweep render = the Printf reference, byte for byte"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad (oneofl apps) (oneofl platforms) (int_range 1 8)
+              (triple (int_range 1 3) (int_range 1 3) (int_range 1 3)))
+           gen_points))
+    (fun ((app, (key, platform), cpn, (nh, ng, nk)), points) ->
+      let ints f n = String.concat "," (List.init n f) in
+      let body =
+        Printf.sprintf
+          {|{"app":{"name":"%s","nx":24,"ny":24,"nz":24},"machine":{"platform":"%s","cores_per_node":%d},"htile":[%s],"grids":[%s],"k":[%s]}|}
+          app key cpn
+          (ints (fun i -> string_of_int (i + 1)) nh)
+          (ints (fun i -> Printf.sprintf "[%d,2]" (i + 1)) ng)
+          (ints (fun i -> string_of_int (4 * i)) nk)
+      in
+      let s =
+        match Serve.Api.parse_sweep body with
+        | Ok s -> s
+        | Error m -> QCheck.Test.fail_report m
+      in
+      Buffer.add_string buf "stale bytes";
+      Serve.Api.render_sweep_into buf s points;
+      let expected =
+        ref_sweep ~app:(app_name app) ~platform:platform.Loggp.Params.name ~cpn
+          ~declared:(nh * ng * nk) points
+      in
+      String.equal expected (Buffer.contents buf)
+      || bytes_differ expected (Buffer.contents buf))
+
+let prop_predict_bytes =
+  let buf = Buffer.create 16 in
+  let gen_validation =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Serve.Api.Not_requested);
+          (1, map (fun s -> Serve.Api.Degraded s) any_string);
+          ( 3,
+            map
+              (fun (cores, engine, model, error_pct) ->
+                Serve.Api.Validated { cores; engine; model; error_pct })
+              (quad edge_int edge_float edge_float edge_float) );
+        ])
+  in
+  QCheck.Test.make ~name:"predict render = the Printf reference, byte for byte"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad (oneofl apps) (oneofl platforms) (int_range 1 8)
+              (pair (int_range 8 96) (int_range 1 5000)))
+           (quad
+              (pair (opt any_string) (opt any_string))
+              (pair edge_int edge_int) (int_range (-1000) 1000)
+              gen_validation)))
+    (fun ( (app, (key, _), cpn, (n, cores)),
+           ((app_name, platform_name), (r_cores, r_cpn), iterations, validation)
+         ) ->
+      let body =
+        Printf.sprintf
+          {|{"app":{"name":"%s","nx":%d,"ny":%d,"nz":%d},"machine":{"platform":"%s","cores":%d,"cores_per_node":%d}}|}
+          app n n n key cores cpn
+      in
+      let p =
+        match Serve.Api.parse_predict body with
+        | Ok p -> p
+        | Error m -> QCheck.Test.fail_report m
+      in
+      (* Only the evaluation reads [cfg]; the rendered names and counts
+         can be anything. *)
+      let p =
+        {
+          p with
+          app =
+            {
+              p.app with
+              name = Option.value app_name ~default:p.app.name;
+              iterations;
+            };
+          platform =
+            {
+              p.platform with
+              name = Option.value platform_name ~default:p.platform.name;
+            };
+          cores = r_cores;
+          cpn = r_cpn;
+        }
+      in
+      Buffer.add_string buf "stale bytes";
+      Serve.Api.eval_predict_into buf p ~validation;
+      let expected = ref_predict p ~validation in
+      String.equal expected (Buffer.contents buf)
+      || bytes_differ expected (Buffer.contents buf))
+
 (* --- in-process HTTP integration -------------------------------------- *)
 
 let with_server ?(cfg = Serve.Server.default_config) f =
@@ -788,6 +1069,9 @@ let suite =
         Alcotest.test_case "sweep prices every K from one evaluation" `Quick
           test_sweep_prices_every_k;
       ] );
+    ( "serve.render",
+      List.map QCheck_alcotest.to_alcotest [ prop_sweep_bytes; prop_predict_bytes ]
+    );
     ( "serve.http",
       [
         Alcotest.test_case "health endpoints" `Quick test_health_endpoints;
