@@ -1409,10 +1409,12 @@ let alloc_targets =
         "Api.predict_into: the daemon's parse -> Eval.create/run -> \
          serialize hot path (ratchet, not zero: JSON parse, the O(cols + \
          rows) tables and the response render allocate a bounded amount)";
-      (* Measured at 1,530 minor words per request on this body at the
-         default 4096-core (64x64) grid, and 1,224 at 4098 cores (683x6):
-         the JSON parse, the response render and Eval.create's four
-         O(cols + rows) (r2b) tables plus its one-row StartP buffer.
+      (* Measured at 1,193 minor words per request on this body at the
+         default 4096-core (64x64) grid, and 887 at 4098 cores (683x6):
+         the JSON parse, the response render (one 4-word string per
+         %.17g number) and Eval.create's four O(cols + rows) (r2b)
+         tables plus its one-row StartP buffer. Rendering through
+         Printf.bprintf measured 1,530 and 1,224.
          Probing every column's and row's link locality, with a tuple
          each, measured 3,256 and 12,167. The ratchet pins 16k: a return
          to the per-cell path (a locality probe and boxed floats in every
@@ -1431,6 +1433,39 @@ let alloc_targets =
             match Serve.Api.predict_into buf body with
             | Ok () -> ()
             | Error m -> Fmt.failwith "serve-predict: %s" m);
+    };
+    {
+      tname = "serve-sweep";
+      tdoc =
+        "Api.parse_sweep -> run_sweep -> render_sweep_into: a 160-point \
+         design sweep (ratchet, not zero: each (Htile, grid) pair's \
+         evaluator and each number's text allocate)";
+      (* Sweep3D 256^3 on an XT4 with 2 cores per node, Htile 1..10 by
+         grids 8^2..64^2 by K 4, 8, 12, 16, rendered into a reused
+         buffer. Measured at 26,497 minor words per sweep: 1,409 for the
+         parse, 19,935 for run_sweep (one Eval.create per (Htile, grid)
+         pair, ~125 words a point), 3,786 for the Pareto sort and ~1,370
+         for the render, one 4-word %.17g string per number it has not
+         just written (caml_format_float returns a fresh string, so zero
+         would need a float printer of our own). Rendering through
+         Printf.bprintf measured 60,590 and trips the 32,768 ratchet, as
+         does an int writer that allocates a closure per call (29,129
+         words). *)
+      budget = 32_768.0;
+      titerations = 200;
+      prepare =
+        (fun ~cores:_ ->
+          let body =
+            {|{"app":{"name":"sweep3d","nx":256,"ny":256,"nz":256},"machine":{"platform":"xt4","cores_per_node":2},"htile":[1,2,3,4,5,6,7,8,9,10],"grids":[[8,8],[16,16],[32,32],[64,64]],"k":[4,8,12,16]}|}
+          in
+          let buf = Buffer.create (1 lsl 15) in
+          fun () ->
+            match Serve.Api.parse_sweep body with
+            | Error m -> Fmt.failwith "serve-sweep: %s" m
+            | Ok s -> (
+                match Serve.Api.run_sweep ~deadline:Serve.Deadline.none s with
+                | `Done points -> Serve.Api.render_sweep_into buf s points
+                | `Expired _ -> Fmt.failwith "serve-sweep: expired"));
     };
     {
       tname = "control-alloc";
@@ -1525,12 +1560,12 @@ let telemetry_cmd =
          & info [ "target" ] ~docv:"T"
              ~doc:
                "Target to measure (repeatable): predictor, batched-step, \
-                batched-run, batched-stream, serve-predict or \
-                control-alloc. Default: the five budgeted targets \
+                batched-run, batched-stream, serve-predict, serve-sweep or \
+                control-alloc. Default: the six budgeted targets \
                 (predictor and batched-step pinned at 0, batched-run, \
-                batched-stream and serve-predict ratchets); control-alloc \
-                is a deliberately allocating closure that proves the gate \
-                can fail.")
+                batched-stream, serve-predict and serve-sweep ratchets); \
+                control-alloc is a deliberately allocating closure that \
+                proves the gate can fail.")
   in
   let cores =
     Arg.(value & opt int 4096

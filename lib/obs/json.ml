@@ -13,33 +13,54 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let hex_digits = "0123456789abcdef"
+
+let add_string b s =
+  Buffer.add_char b '"';
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | '"' -> Buffer.add_string b "\\\""
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\r' -> Buffer.add_string b "\\r"
+    | '\t' -> Buffer.add_string b "\\t"
+    | '\000' .. '\031' as c ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b hex_digits.[Char.code c lsr 4];
+        Buffer.add_char b hex_digits.[Char.code c land 15]
+    | c -> Buffer.add_char b c
+  done;
+  Buffer.add_char b '"'
+
+(* The C printf conversion that [Printf]'s [%.17g] and [%.0f] end in,
+   called without interpreting a format per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_repr x = format_float "%.17g" x
+let add_float b x = Buffer.add_string b (float_repr x)
+
+(* The digits of [-m] for [m <= 0]: working on the non-positive side
+   lets [min_int] through with no special case. A top-level function, not
+   a closure over [b], so that writing an int allocates nothing. *)
+let rec add_digits b m =
+  if m <= -10 then add_digits b (m / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
 
 let rec print b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Num v ->
       if Float.is_integer v && Float.abs v < 1e15 then
-        Buffer.add_string b (Printf.sprintf "%.0f" v)
-      else Buffer.add_string b (Printf.sprintf "%.17g" v)
-  | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
+        Buffer.add_string b (format_float "%.0f" v)
+      else add_float b v
+  | Str s -> add_string b s
   | List l ->
       Buffer.add_char b '[';
       List.iteri
@@ -53,9 +74,8 @@ let rec print b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_string b "\":";
+          add_string b k;
+          Buffer.add_char b ':';
           print b v)
         kvs;
       Buffer.add_char b '}'

@@ -1,6 +1,7 @@
 (* JSON in via Obs.Json (hostile input -> Error, never an exception);
-   JSON out via Printf.bprintf into a caller-owned buffer ([%.17g] so
-   predictions round-trip bit-exactly). *)
+   JSON out through Obs.Json's buffer writers into a caller-owned buffer
+   ([%.17g] so predictions round-trip bit-exactly), with no format
+   string interpreted per value. *)
 
 module Json = Obs.Json
 module App_params = Wavefront_core.App_params
@@ -164,21 +165,13 @@ let validate_run ?(max_cores = 64) p =
 
 (* --- response serialization ----------------------------------------- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let add_float_field b key x =
+  Buffer.add_string b key;
+  Json.add_float b x
+
+let add_int_field b key n =
+  Buffer.add_string b key;
+  Json.add_int b n
 
 let eval_predict_into b p ~validation =
   Buffer.clear b;
@@ -186,23 +179,33 @@ let eval_predict_into b p ~validation =
   Plugplay.Eval.run ev;
   let r = Plugplay.Eval.result ev in
   Buffer.add_string b {|{"schema":"wavefront-predict/v1","app":|};
-  add_json_string b p.app.App_params.name;
+  Json.add_string b p.app.App_params.name;
   Buffer.add_string b {|,"platform":|};
-  add_json_string b p.platform.Loggp.Params.name;
-  Printf.bprintf b
-    {|,"cores":%d,"cores_per_node":%d,"t_iteration":%.17g,"t_diagfill":%.17g,"t_fullfill":%.17g,"t_stack":%.17g,"t_nonwavefront":%.17g,"w":%.17g,"w_pre":%.17g,"msg_ew":%d,"msg_ns":%d,"time_per_time_step":%.17g|}
-    p.cores p.cpn r.Plugplay.t_iteration r.t_diagfill r.t_fullfill r.t_stack
-    r.t_nonwavefront r.w r.w_pre r.msg_ew r.msg_ns
+  Json.add_string b p.platform.Loggp.Params.name;
+  add_int_field b {|,"cores":|} p.cores;
+  add_int_field b {|,"cores_per_node":|} p.cpn;
+  add_float_field b {|,"t_iteration":|} r.Plugplay.t_iteration;
+  add_float_field b {|,"t_diagfill":|} r.t_diagfill;
+  add_float_field b {|,"t_fullfill":|} r.t_fullfill;
+  add_float_field b {|,"t_stack":|} r.t_stack;
+  add_float_field b {|,"t_nonwavefront":|} r.t_nonwavefront;
+  add_float_field b {|,"w":|} r.w;
+  add_float_field b {|,"w_pre":|} r.w_pre;
+  add_int_field b {|,"msg_ew":|} r.msg_ew;
+  add_int_field b {|,"msg_ns":|} r.msg_ns;
+  add_float_field b {|,"time_per_time_step":|}
     (float_of_int p.app.App_params.iterations *. r.t_iteration);
   (match validation with
   | Not_requested -> Buffer.add_string b {|,"degraded":false,"validation":null|}
   | Degraded reason ->
       Buffer.add_string b {|,"degraded":true,"validation":null,"reason":|};
-      add_json_string b reason
+      Json.add_string b reason
   | Validated { cores; engine; model; error_pct } ->
-      Printf.bprintf b
-        {|,"degraded":false,"validation":{"cores":%d,"engine":%.17g,"model":%.17g,"error_pct":%.17g}|}
-        cores engine model error_pct);
+      add_int_field b {|,"degraded":false,"validation":{"cores":|} cores;
+      add_float_field b {|,"engine":|} engine;
+      add_float_field b {|,"model":|} model;
+      add_float_field b {|,"error_pct":|} error_pct;
+      Buffer.add_char b '}');
   Buffer.add_char b '}'
 
 let predict_into b body =
@@ -397,29 +400,54 @@ let pareto points =
   in
   scan infinity [] sorted
 
-let add_point b p =
-  Printf.bprintf b
-    {|{"htile":%.17g,"cols":%d,"rows":%d,"k":%d,"cores":%d,"t_iteration":%.17g,"overhead":%.17g,"total":%.17g}|}
-    p.htile p.cols p.rows p.k p.cores p.t_iter p.overhead p.total
+(* The text of the last value written in one column of a sweep, by its
+   bits: every K of an (Htile, grid) pair repeats that pair's Htile and
+   t_iteration, and the points run Htile-major, so most of those values
+   are the previous point's. Bits, not [=]: 0.0 and -0.0 compare equal
+   but print apart. *)
+type column = { mutable bits : int64; mutable text : string }
 
-let add_points b points =
+let add_column b c x =
+  let bits = Int64.bits_of_float x in
+  if String.length c.text = 0 || bits <> c.bits then begin
+    c.bits <- bits;
+    c.text <- Json.float_repr x
+  end;
+  Buffer.add_string b c.text
+
+let add_point b ~htile ~t_iter p =
+  Buffer.add_string b {|{"htile":|};
+  add_column b htile p.htile;
+  add_int_field b {|,"cols":|} p.cols;
+  add_int_field b {|,"rows":|} p.rows;
+  add_int_field b {|,"k":|} p.k;
+  add_int_field b {|,"cores":|} p.cores;
+  Buffer.add_string b {|,"t_iteration":|};
+  add_column b t_iter p.t_iter;
+  add_float_field b {|,"overhead":|} p.overhead;
+  add_float_field b {|,"total":|} p.total;
+  Buffer.add_char b '}'
+
+let add_points b ~htile ~t_iter points =
   Buffer.add_char b '[';
   List.iteri
     (fun i p ->
       if i > 0 then Buffer.add_char b ',';
-      add_point b p)
+      add_point b ~htile ~t_iter p)
     points;
   Buffer.add_char b ']'
 
 let render_sweep_into b s points =
   Buffer.clear b;
+  let htile = { bits = 0L; text = "" } and t_iter = { bits = 0L; text = "" } in
   Buffer.add_string b {|{"schema":"wavefront-sweep/v1","app":|};
-  add_json_string b s.base.App_params.name;
+  Json.add_string b s.base.App_params.name;
   Buffer.add_string b {|,"platform":|};
-  add_json_string b s.s_platform.Loggp.Params.name;
-  Printf.bprintf b {|,"cores_per_node":%d,"points":%d,"evaluated":|} s.s_cpn
-    (sweep_points s);
-  add_points b points;
+  Json.add_string b s.s_platform.Loggp.Params.name;
+  add_int_field b {|,"cores_per_node":|} s.s_cpn;
+  add_int_field b {|,"points":|} (sweep_points s);
+  Buffer.add_string b {|,"evaluated":|};
+  add_points b ~htile ~t_iter points;
   Buffer.add_string b {|,"frontier":|};
-  add_points b (pareto points);
+  add_points b ~htile ~t_iter (pareto points);
   Buffer.add_char b '}'

@@ -1,5 +1,9 @@
 let max_header_bytes = 16 * 1024
 
+type scratch = Bytes.t
+
+let scratch () = Bytes.create (64 * 1024)
+
 type request = {
   meth : string;
   path : string;
@@ -46,11 +50,11 @@ let rec read_some fd buf pos len ~deadline =
         ->
           `Closed)
 
-(* Accumulate until the header terminator CRLFCRLF (or bare LFLF) shows
-   up, never keeping more than [max_header_bytes]. Returns the raw
-   header block and any body bytes that arrived with it. *)
-let read_header_block fd ~deadline =
-  let buf = Bytes.create max_header_bytes in
+(* Accumulate in [scratch] until the header terminator CRLFCRLF (or
+   bare LFLF) shows up, never taking more than [max_header_bytes].
+   Returns the header block, its end and how far [scratch] is filled:
+   the bytes past the block are body bytes that arrived with it. *)
+let read_header_block scratch fd ~deadline =
   let filled = ref 0 in
   let find_terminator () =
     (* Search for \r\n\r\n or \n\n in [0, filled). Returns end-of-header
@@ -60,12 +64,13 @@ let read_header_block fd ~deadline =
       if i >= n then -1
       else if
         i + 3 < n
-        && Bytes.get buf i = '\r'
-        && Bytes.get buf (i + 1) = '\n'
-        && Bytes.get buf (i + 2) = '\r'
-        && Bytes.get buf (i + 3) = '\n'
+        && Bytes.get scratch i = '\r'
+        && Bytes.get scratch (i + 1) = '\n'
+        && Bytes.get scratch (i + 2) = '\r'
+        && Bytes.get scratch (i + 3) = '\n'
       then i + 4
-      else if i + 1 < n && Bytes.get buf i = '\n' && Bytes.get buf (i + 1) = '\n'
+      else if
+        i + 1 < n && Bytes.get scratch i = '\n' && Bytes.get scratch (i + 1) = '\n'
       then i + 2
       else go (i + 1)
     in
@@ -74,14 +79,12 @@ let read_header_block fd ~deadline =
   let rec loop () =
     match find_terminator () with
     | stop ->
-        if stop >= 0 then
-          Ok
-            ( Bytes.sub_string buf 0 stop,
-              Bytes.sub_string buf stop (!filled - stop) )
+        if stop >= 0 then Ok (Bytes.sub_string scratch 0 stop, stop, !filled)
         else if !filled >= max_header_bytes then Error Too_large
         else
           (match
-             read_some fd buf !filled (max_header_bytes - !filled) ~deadline
+             read_some fd scratch !filled (max_header_bytes - !filled)
+               ~deadline
            with
           | `Timeout -> Error Timeout
           | `Closed -> Error Closed
@@ -124,10 +127,10 @@ let parse_request_line line =
       else Ok (String.uppercase_ascii meth, path, version)
   | _ -> Error (Bad_request "malformed request line")
 
-let read_request ?(max_body = 1024 * 1024) ~deadline fd =
-  match read_header_block fd ~deadline with
+let read_request ?(max_body = 1024 * 1024) ~scratch ~deadline fd =
+  match read_header_block scratch fd ~deadline with
   | Error _ as e -> e
-  | Ok (block, prefix) -> (
+  | Ok (block, stop, filled) -> (
       match split_lines block with
       | [] -> Error (Bad_request "empty request")
       | req_line :: header_lines -> (
@@ -156,12 +159,12 @@ let read_request ?(max_body = 1024 * 1024) ~deadline fd =
                         (* Refuse before reading: the advertised size alone
                            condemns the request. *)
                         Error Too_large
-                      else if String.length prefix > len then
+                      else if filled - stop > len then
                         Error (Bad_request "body longer than Content-Length")
                       else begin
                         let body = Bytes.create len in
-                        Bytes.blit_string prefix 0 body 0 (String.length prefix);
-                        let filled = ref (String.length prefix) in
+                        Bytes.blit scratch stop body 0 (filled - stop);
+                        let filled = ref (filled - stop) in
                         let rec fill () =
                           if !filled >= len then
                             Ok
@@ -170,7 +173,8 @@ let read_request ?(max_body = 1024 * 1024) ~deadline fd =
                                 path;
                                 version;
                                 headers;
-                                body = Bytes.to_string body;
+                                (* [body] is never written again *)
+                                body = Bytes.unsafe_to_string body;
                               }
                           else
                             match
@@ -199,32 +203,60 @@ let status_text = function
   | 504 -> "Gateway Timeout"
   | _ -> "Unknown"
 
-let write_all fd s =
-  let total = String.length s in
+let write_all fd buf len =
   let rec go pos =
-    if pos >= total then true
+    if pos >= len then true
     else
-      match Unix.write_substring fd s pos (total - pos) with
+      match Unix.write fd buf pos (len - pos) with
       | n -> go (pos + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
       | exception Unix.Unix_error _ -> false
   in
   go 0
 
-(* The head is built apart and the body written straight from the
-   caller's string: a sweep response runs to ~0.7 MB, and
-   gluing it to its head would copy it again per request. The two
-   writes rely on the server's TCP_NODELAY so the body's last segment is
-   not held back behind the head's ACK. *)
-let write_response ?(headers = []) ?(body = "") fd status =
-  let head = Buffer.create 256 in
-  Printf.bprintf head "HTTP/1.1 %d %s\r\n" status (status_text status);
-  List.iter (fun (k, v) -> Printf.bprintf head "%s: %s\r\n" k v) headers;
-  Printf.bprintf head "Content-Length: %d\r\nConnection: close\r\n\r\n"
-    (String.length body);
-  write_all fd (Buffer.contents head) && write_all fd body
+(* The head and the body pass through [scratch] and leave it a
+   scratch-full per write, so a small response is one write and a large
+   body is never copied out of its buffer whole: a sweep response runs
+   to ~0.6 MB, and [Buffer.contents] would make a fresh major-heap copy
+   of it per request. *)
+let write_response ~scratch ?(headers = []) fd status body =
+  let cap = Bytes.length scratch in
+  let fill = ref 0 and ok = ref true in
+  let flush () =
+    if !ok then ok := write_all fd scratch !fill;
+    fill := 0
+  in
+  let put blit src len =
+    let off = ref 0 in
+    while !ok && !off < len do
+      if !fill = cap then flush ();
+      let n = min (cap - !fill) (len - !off) in
+      blit src !off scratch !fill n;
+      fill := !fill + n;
+      off := !off + n
+    done
+  in
+  let put_string s = put Bytes.blit_string s (String.length s) in
+  put_string "HTTP/1.1 ";
+  put_string (string_of_int status);
+  put_string " ";
+  put_string (status_text status);
+  put_string "\r\n";
+  List.iter
+    (fun (k, v) ->
+      put_string k;
+      put_string ": ";
+      put_string v;
+      put_string "\r\n")
+    headers;
+  put_string "Content-Length: ";
+  put_string (string_of_int (Buffer.length body));
+  put_string "\r\nConnection: close\r\n\r\n";
+  put Buffer.blit body (Buffer.length body);
+  flush ();
+  !ok
 
-let discard_close fd =
+let discard_close ~scratch fd =
   (* Closing with unread bytes in the receive buffer makes the kernel
      answer with RST, which can destroy the response we just wrote
      before the client reads it (shed 429s, refused 413s). Drain
@@ -232,10 +264,9 @@ let discard_close fd =
      close degrades to an ordinary FIN. *)
   (try
      Unix.set_nonblock fd;
-     let junk = Bytes.create 4096 in
      let rec drain budget =
        if budget > 0 then
-         match Unix.read fd junk 0 (Bytes.length junk) with
+         match Unix.read fd scratch 0 (Bytes.length scratch) with
          | 0 -> ()
          | n -> drain (budget - n)
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain budget

@@ -6,11 +6,15 @@
       header deadline, so a slow-loris client ties up a worker for at
       most that budget (408);
     - the header block (request line + headers) is capped at 16 KiB
-      (400) and bodies at the caller's [max_body] ([`Too_large] → 413)
+      and bodies at the caller's [max_body] ([`Too_large] → 413)
       {e before} the body is read, so an oversized [Content-Length]
       never costs its advertised bytes;
     - connections are single-request ([Connection: close]): no pipelining
       state to poison.
+
+    Reads and writes go through a {!scratch} the caller owns and reuses
+    from request to request: besides the request's own strings, its I/O
+    allocates a few words, however large its response.
 
     Failures are values, not exceptions — the server turns each into one
     well-formed status line, which is the invariant the slam client
@@ -30,11 +34,21 @@ type read_error =
   | Timeout  (** header/body not complete by the deadline (slow-loris) *)
   | Closed  (** peer closed or reset before a full request arrived *)
 
+type scratch
+(** 64 KiB of I/O space: the header block is read into it, a response
+    leaves through it and [discard_close] drains into it. A scratch
+    belongs to one domain: two requests in flight at once, in one domain
+    or in two, must not share one. Nothing returned by this module
+    points into it, so it is free again as soon as a call returns. *)
+
+val scratch : unit -> scratch
+
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
 val read_request :
   ?max_body:int ->
+  scratch:scratch ->
   deadline:float ->
   Unix.file_descr ->
   (request, read_error) result
@@ -44,21 +58,24 @@ val read_request :
     [Bad_request] (chunked encoding is not supported). *)
 
 val write_response :
+  scratch:scratch ->
   ?headers:(string * string) list ->
-  ?body:string ->
   Unix.file_descr ->
   int ->
+  Buffer.t ->
   bool
-(** Write a complete response ([Connection: close],
-    [Content-Length] computed) as two writes, the head and then [body]
-    straight from the caller's string, never copied; the server sets
-    [TCP_NODELAY] on accepted sockets so the second write is not delayed.
-    Returns [false] when the peer is gone ([EPIPE]/reset) — the caller
-    records the outcome either way and never raises. *)
+(** Write a complete response ([Connection: close], [Content-Length]
+    computed) with the buffer's contents as its body. The head and body
+    are copied through [scratch] and written a scratch-full at a time,
+    so a response under 64 KiB is one write and a larger body is never
+    copied out of its buffer whole. Returns [false] when the peer is gone
+    ([EPIPE]/reset) — the caller records the outcome either way and never
+    raises. *)
 
-val discard_close : Unix.file_descr -> unit
+val discard_close : scratch:scratch -> Unix.file_descr -> unit
 (** Drain any request bytes that already arrived (never waiting for
-    more), then close. Closing with unread input pending would make the
-    kernel send RST instead of FIN, destroying an in-flight response —
-    exactly the shed-429 and refused-413 paths where the server answers
-    without reading the request. Never raises. *)
+    more) into [scratch], then close. Closing with unread input pending
+    would make the kernel send RST instead of FIN, destroying an
+    in-flight response — exactly the shed-429 and refused-413 paths
+    where the server answers without reading the request. Never
+    raises. *)

@@ -2,8 +2,10 @@
    Bounded_queue of connections, [workers] worker domains popping it.
    The Obs.Metrics registry is not thread-safe, so one mutex guards
    every metric update and the scrape; everything per-request lives on
-   the worker's stack (one reusable predict-response buffer per
-   worker). *)
+   the worker's stack. Between requests a worker keeps only its
+   reusable predict-response buffer and its Http.scratch, through which
+   it reads every request and writes every response; the accept loop
+   keeps a scratch of its own for the 429 and 503 it answers itself. *)
 
 type config = {
   host : string;
@@ -144,11 +146,17 @@ let record_outcome t ~admitted_at outcome =
 
 let json_headers = [ ("Content-Type", "application/json") ]
 
-let respond_error fd status msg =
-  ignore
-    (Http.write_response ~headers:json_headers
-       ~body:(Printf.sprintf {|{"error":%S}|} msg)
-       fd status)
+let respond ~scratch ?(headers = json_headers) fd status body =
+  let b = Buffer.create (String.length body) in
+  Buffer.add_string b body;
+  Http.write_response ~scratch ~headers fd status b
+
+let respond_error ~scratch fd status msg =
+  let b = Buffer.create (String.length msg + 16) in
+  Buffer.add_string b {|{"error":|};
+  Obs.Json.add_string b msg;
+  Buffer.add_char b '}';
+  ignore (Http.write_response ~scratch ~headers:json_headers fd status b)
 
 let request_deadline t req ~now =
   let budget =
@@ -215,14 +223,14 @@ let scrape t =
            | Some c -> Chaos.injected_failures c));
       Obs.Openmetrics.render st.reg)
 
-let handle_predict t ~worker ~deadline ~buf fd body =
+let handle_predict t ~worker ~deadline ~buf ~scratch fd body =
   match Api.parse_predict body with
   | Error msg ->
-      respond_error fd 400 msg;
+      respond_error ~scratch fd 400 msg;
       Client_error
   | Ok p ->
       if Deadline.expired ~now:(Unix.gettimeofday ()) deadline then begin
-        respond_error fd 504 "deadline expired before evaluation";
+        respond_error ~scratch fd 504 "deadline expired before evaluation";
         Timeout
       end
       else begin
@@ -231,104 +239,104 @@ let handle_predict t ~worker ~deadline ~buf fd body =
           else Api.Not_requested
         in
         Api.eval_predict_into buf p ~validation;
-        let ok = Http.write_response ~headers:json_headers
-            ~body:(Buffer.contents buf) fd 200
-        in
-        if not ok then Aborted
+        if not (Http.write_response ~scratch ~headers:json_headers fd 200 buf)
+        then Aborted
         else
           match validation with Api.Degraded _ -> Degraded | _ -> Ok_
       end
 
 (* A sweep renders into a buffer of its own, garbage once written: a
-   4096-point response is ~0.7 MB, and a worker buffer grown to hold it
+   4096-point response is ~0.6 MB, and a worker buffer grown to hold it
    would stay that size for the daemon's lifetime, every worker's copy
-   live to the GC. *)
-let handle_sweep ~deadline fd body =
+   live to the GC. The buffer starts at [sweep_bytes_per_point] per
+   point, above the ~142 a point takes on average, so a sweep's body
+   never regrows it; a guess too low costs one doubling, never a byte of
+   the body. *)
+let sweep_bytes_per_point = 150
+
+let handle_sweep ~deadline ~scratch fd body =
   match Api.parse_sweep body with
   | Error msg ->
-      respond_error fd 400 msg;
+      respond_error ~scratch fd 400 msg;
       Client_error
   | Ok s -> (
       match Api.run_sweep ~deadline s with
       | `Expired evaluated ->
-          respond_error fd 504
+          respond_error ~scratch fd 504
             (Printf.sprintf "deadline expired after %d of %d points" evaluated
                (Api.sweep_points s));
           Timeout
       | `Done points ->
-          let buf = Buffer.create 4096 in
+          let buf = Buffer.create (sweep_bytes_per_point * Api.sweep_points s) in
           Api.render_sweep_into buf s points;
-          if Http.write_response ~headers:json_headers
-               ~body:(Buffer.contents buf) fd 200
+          if Http.write_response ~scratch ~headers:json_headers fd 200 buf
           then Ok_
           else Aborted)
 
-let handle_request t ~worker ~buf conn req =
+let handle_request t ~worker ~buf ~scratch conn req =
   let fd = conn.fd in
   let now = Unix.gettimeofday () in
   let deadline = request_deadline t req ~now in
   match (req.Http.meth, req.Http.path) with
   | "GET", "/healthz" ->
-      if Http.write_response ~headers:json_headers ~body:{|{"status":"ok"}|}
-           fd 200
-      then Ok_
-      else Aborted
+      if respond ~scratch fd 200 {|{"status":"ok"}|} then Ok_ else Aborted
   | "GET", "/readyz" ->
       let draining = Atomic.get t.stop_flag in
       let status = if draining then 503 else 200 in
       let body =
         if draining then {|{"status":"draining"}|} else {|{"status":"ready"}|}
       in
-      if Http.write_response ~headers:json_headers ~body fd status then Ok_
-      else Aborted
+      if respond ~scratch fd status body then Ok_ else Aborted
   | "GET", "/metrics" ->
       let body = scrape t in
       if
-        Http.write_response
+        respond ~scratch
           ~headers:
             [
               ( "Content-Type",
                 "application/openmetrics-text; version=1.0.0; charset=utf-8" );
             ]
-          ~body fd 200
+          fd 200 body
       then Ok_
       else Aborted
-  | "POST", "/v1/predict" -> handle_predict t ~worker ~deadline ~buf fd req.body
-  | "POST", "/v1/sweep" -> handle_sweep ~deadline fd req.body
+  | "POST", "/v1/predict" ->
+      handle_predict t ~worker ~deadline ~buf ~scratch fd req.body
+  | "POST", "/v1/sweep" -> handle_sweep ~deadline ~scratch fd req.body
   | _, ("/healthz" | "/readyz" | "/metrics" | "/v1/predict" | "/v1/sweep") ->
-      respond_error fd 405 "method not allowed";
+      respond_error ~scratch fd 405 "method not allowed";
       Client_error
   | _ ->
-      respond_error fd 404 "no such endpoint";
+      respond_error ~scratch fd 404 "no such endpoint";
       Client_error
 
-let handle_conn t ~worker ~buf conn =
+let handle_conn t ~worker ~buf ~scratch conn =
   let header_deadline =
     Deadline.of_budget_ms ~now:(Unix.gettimeofday ()) t.cfg.header_timeout_ms
   in
   match
-    Http.read_request ~max_body:t.cfg.max_body ~deadline:header_deadline
-      conn.fd
+    Http.read_request ~max_body:t.cfg.max_body ~scratch
+      ~deadline:header_deadline conn.fd
   with
   | Ok req -> (
-      match handle_request t ~worker ~buf conn req with
+      match handle_request t ~worker ~buf ~scratch conn req with
       | outcome -> outcome
       | exception _ ->
-          respond_error conn.fd 500 "internal error";
+          respond_error ~scratch conn.fd 500 "internal error";
           Server_error)
   | Error (Http.Bad_request msg) ->
-      respond_error conn.fd 400 msg;
+      respond_error ~scratch conn.fd 400 msg;
       Client_error
   | Error Http.Too_large ->
-      respond_error conn.fd 413 "request too large";
+      respond_error ~scratch conn.fd 413 "request too large";
       Client_error
   | Error Http.Timeout ->
-      respond_error conn.fd 408 "request incomplete before header deadline";
+      respond_error ~scratch conn.fd 408
+        "request incomplete before header deadline";
       Timeout
   | Error Http.Closed -> Aborted
 
 let worker_loop t ~worker =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 4096 and scratch = Http.scratch () in
   let rec loop () =
     match Bounded_queue.pop t.queue with
     | None -> ()  (* queue closed and drained: exit *)
@@ -336,9 +344,9 @@ let worker_loop t ~worker =
         with_stats t.stats (fun () ->
             t.stats.live_inflight <- t.stats.live_inflight + 1);
         let outcome =
-          try handle_conn t ~worker ~buf conn with _ -> Server_error
+          try handle_conn t ~worker ~buf ~scratch conn with _ -> Server_error
         in
-        Http.discard_close conn.fd;
+        Http.discard_close ~scratch conn.fd;
         with_stats t.stats (fun () ->
             t.stats.live_inflight <- t.stats.live_inflight - 1);
         record_outcome t ~admitted_at:conn.admitted_at outcome;
@@ -349,6 +357,7 @@ let worker_loop t ~worker =
 (* --- accept loop ----------------------------------------------------- *)
 
 let accept_loop t =
+  let scratch = Http.scratch () in
   let rec loop () =
     if Atomic.get t.stop_flag then ()
     else begin
@@ -360,8 +369,8 @@ let accept_loop t =
           | exception Unix.Unix_error _ -> ()
           | fd, _ -> (
               let admitted_at = Unix.gettimeofday () in
-              (* Responses go out as head and body writes; Nagle would
-                 hold the second behind the first's ACK. *)
+              (* A response over one scratch goes out in several writes;
+                 Nagle would hold each behind the previous one's ACK. *)
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
               with_stats t.stats (fun () ->
@@ -371,16 +380,14 @@ let accept_loop t =
               | `Full ->
                   (* Shed at admission: one cheap write, no worker. *)
                   ignore
-                    (Http.write_response
+                    (respond ~scratch
                        ~headers:(("Retry-After", "1") :: json_headers)
-                       ~body:{|{"error":"server overloaded"}|} fd 429);
-                  Http.discard_close fd;
+                       fd 429 {|{"error":"server overloaded"}|});
+                  Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Shed
               | `Closed ->
-                  ignore
-                    (Http.write_response ~headers:json_headers
-                       ~body:{|{"error":"draining"}|} fd 503);
-                  Http.discard_close fd;
+                  ignore (respond ~scratch fd 503 {|{"error":"draining"}|});
+                  Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Aborted))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()

@@ -566,7 +566,9 @@ let report_to_json r =
   List.iteri
     (fun i (name, n) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%S:%d" name n)
+      Obs.Json.add_string b name;
+      Buffer.add_char b ':';
+      Obs.Json.add_int b n)
     r.class_counts;
   Buffer.add_string b "},\"statuses\":{";
   List.iteri
@@ -582,15 +584,21 @@ let report_to_json r =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      if Float.is_finite v then Printf.bprintf b "%S:%.17g" name v
-      else Printf.bprintf b "%S:null" name)
+      Obs.Json.add_string b name;
+      Buffer.add_char b ':';
+      if Float.is_finite v then Obs.Json.add_float b v
+      else Buffer.add_string b "null")
     r.server_metrics;
   Buffer.add_string b "},\"invariants\":[";
   List.iteri
     (fun i inv ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b {|{"name":%S,"pass":%b,"detail":%S}|} inv.name inv.pass
-        inv.detail)
+      Buffer.add_string b {|{"name":|};
+      Obs.Json.add_string b inv.name;
+      Buffer.add_string b (if inv.pass then {|,"pass":true|} else {|,"pass":false|});
+      Buffer.add_string b {|,"detail":|};
+      Obs.Json.add_string b inv.detail;
+      Buffer.add_char b '}')
     r.invariants;
   Printf.bprintf b {|],"passed":%b}|} (passed r);
   Buffer.contents b

@@ -619,6 +619,48 @@ let prop_predict_bytes =
       String.equal expected (Buffer.contents buf)
       || bytes_differ expected (Buffer.contents buf))
 
+(* The writers the renderers are built on, against [Printf] and the
+   reference escaper: the values whose text is easiest to get wrong,
+   then random ones. *)
+let test_json_writers () =
+  let via f x =
+    let b = Buffer.create 32 in
+    f b x;
+    Buffer.contents b
+  in
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "add_float %h" x)
+        (Printf.sprintf "%.17g" x)
+        (via Obs.Json.add_float x))
+    [
+      Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0;
+      Float.min_float; Float.max_float; -.Float.max_float;
+      Int64.float_of_bits 1L; 1234567890123456.25;
+    ];
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "add_int %d" n)
+        (string_of_int n) (via Obs.Json.add_int n))
+    [ min_int; max_int; min_int + 1; 0; -1; 9; 10; -10; 99; 100 ]
+
+let prop_json_writers =
+  QCheck.Test.make ~name:"Json writers = Printf and the reference escaper"
+    ~count:500
+    (QCheck.make QCheck.Gen.(triple edge_float edge_int any_string))
+    (fun (x, n, s) ->
+      let via f v =
+        let b = Buffer.create 32 in
+        f b v;
+        Buffer.contents b
+      in
+      String.equal (Printf.sprintf "%.17g" x) (via Obs.Json.add_float x)
+      && String.equal (Printf.sprintf "%d" n) (via Obs.Json.add_int n)
+      && String.equal (via ref_add_json_string s) (via Obs.Json.add_string s)
+      && Obs.Json.of_string (via Obs.Json.add_string s) = Obs.Json.Str s)
+
 (* --- in-process HTTP integration -------------------------------------- *)
 
 let with_server ?(cfg = Serve.Server.default_config) f =
@@ -757,7 +799,115 @@ let test_defense_matrix () =
   (* Slow-loris: half a header, then silence; the 300 ms header budget
      must convert the stall into a 408, not a held worker. *)
   Alcotest.(check (option int)) "slow-loris 408" (Some 408)
-    (status_of (raw_request ~port "POST /v1/predict HTTP/1.1\r\nHo"))
+    (status_of (raw_request ~port "POST /v1/predict HTTP/1.1\r\nHo"));
+  (* An error message quotes the request's own bytes; the body must
+     still be JSON that reads back to that message. *)
+  List.iter
+    (fun version ->
+      let raw =
+        raw_request ~port
+          (Printf.sprintf "GET /healthz %s\r\nHost: t\r\n\r\n" version)
+      in
+      Alcotest.(check (option int)) (String.escaped version ^ " 400") (Some 400)
+        (status_of raw);
+      match Obs.Json.of_string (body_of raw) with
+      | j ->
+          Alcotest.(check string)
+            (String.escaped version ^ ": the message, exactly")
+            ("unsupported version " ^ version)
+            (Obs.Json.get_str "error" (Obs.Json.member "error" j))
+      | exception Obs.Json.Parse_error m ->
+          Alcotest.failf "%s: body %S is not JSON: %s" (String.escaped version)
+            (body_of raw) m)
+    [ "HTTP/1.\xc3\xa9"; "HTTP/1.\x01" ]
+
+(* One scratch serves request after request, each on its own socket: a
+   long header block with a body leaves bytes in it that the next, short
+   request must not see, and the reader's limits and the drain before a
+   close hold as they did with a buffer per call. *)
+let test_http_scratch_reuse () =
+  let scratch = Serve.Http.scratch () in
+  let with_pair f =
+    let srv, cli = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          [ srv; cli ])
+      (fun () -> f srv cli)
+  in
+  let send fd s =
+    let n = Unix.write_substring fd s 0 (String.length s) in
+    assert (n = String.length s)
+  in
+  let read ?(budget_ms = 2000.0) fd =
+    Serve.Http.read_request ~scratch
+      ~deadline:(Serve.Deadline.of_budget_ms ~now:(Unix.gettimeofday ()) budget_ms)
+      fd
+  in
+  let long_headers =
+    String.concat ""
+      (List.init 40 (fun i ->
+           Printf.sprintf "X-Pad-%d: %s\r\n" i (String.make 300 'p')))
+  in
+  let long_body = String.make 3000 'b' in
+  with_pair (fun srv cli ->
+      send cli
+        (Printf.sprintf "POST /long HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s"
+           long_headers (String.length long_body) long_body);
+      match read srv with
+      | Ok r ->
+          Alcotest.(check int) "long request: every header" 41
+            (List.length r.Serve.Http.headers);
+          Alcotest.(check string) "long request: body" long_body r.body
+      | Error _ -> Alcotest.fail "long request refused");
+  with_pair (fun srv cli ->
+      send cli "PUT /short HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi";
+      match read srv with
+      | Ok r ->
+          Alcotest.(check (list string)) "short request: its own line"
+            [ "PUT"; "/short"; "HTTP/1.0" ]
+            [ r.meth; r.path; r.version ];
+          Alcotest.(check (list (pair string string)))
+            "short request: its own headers" [ ("content-length", "2") ]
+            r.headers;
+          Alcotest.(check string) "short request: its own body" "hi" r.body
+      | Error _ -> Alcotest.fail "short request refused");
+  with_pair (fun srv cli ->
+      send cli ("GET / HTTP/1.1\r\n" ^ long_headers ^ long_headers);
+      match read srv with
+      | Error Serve.Http.Too_large -> ()
+      | _ -> Alcotest.fail "a header block past 16 KiB must be Too_large");
+  with_pair (fun srv cli ->
+      send cli "POST /v1/predict HTTP/1.1\r\nHo";
+      match read ~budget_ms:100.0 srv with
+      | Error Serve.Http.Timeout -> ()
+      | _ -> Alcotest.fail "a stalled header must time out");
+  (* The shed path: answer without reading, drain, close. The client
+     must read the whole response and then end of file, not a reset. *)
+  with_pair (fun srv cli ->
+      send cli ("POST /v1/predict HTTP/1.1\r\n" ^ long_headers);
+      let body = Buffer.create 32 in
+      Buffer.add_string body {|{"error":"server overloaded"}|};
+      Alcotest.(check bool) "429 written" true
+        (Serve.Http.write_response ~scratch ~headers:[ ("Retry-After", "1") ]
+           srv 429 body);
+      Serve.Http.discard_close ~scratch srv;
+      let got = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read cli chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes got chunk 0 n;
+            drain ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+            Alcotest.fail "the shed response ended in a reset"
+      in
+      drain ();
+      Alcotest.(check string) "the whole 429"
+        "HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: \
+         29\r\nConnection: close\r\n\r\n{\"error\":\"server overloaded\"}"
+        (Buffer.contents got))
 
 let test_shedding_429 () =
   (* One worker and a one-slot queue: a slow-loris pins the worker for
@@ -1070,8 +1220,12 @@ let suite =
           test_sweep_prices_every_k;
       ] );
     ( "serve.render",
-      List.map QCheck_alcotest.to_alcotest [ prop_sweep_bytes; prop_predict_bytes ]
-    );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_sweep_bytes; prop_predict_bytes; prop_json_writers ]
+      @ [
+          Alcotest.test_case "Json writers on the edge values" `Quick
+            test_json_writers;
+        ] );
     ( "serve.http",
       [
         Alcotest.test_case "health endpoints" `Quick test_health_endpoints;
@@ -1079,6 +1233,8 @@ let suite =
           test_predict_golden;
         Alcotest.test_case "defense matrix: 400/413/504/408" `Quick
           test_defense_matrix;
+        Alcotest.test_case "one scratch across requests" `Quick
+          test_http_scratch_reuse;
         Alcotest.test_case "admission queue sheds with 429" `Quick
           test_shedding_429;
         Alcotest.test_case "breaker degrades and recovers" `Quick
