@@ -146,7 +146,7 @@ let record_outcome t ~admitted_at outcome =
 
 let json_headers = [ ("Content-Type", "application/json") ]
 
-let respond ~scratch ?(headers = json_headers) fd status body =
+let respond ~scratch ~headers fd status body =
   let b = Buffer.create (String.length body) in
   Buffer.add_string b body;
   Http.write_response ~scratch ~headers fd status b
@@ -279,14 +279,17 @@ let handle_request t ~worker ~buf ~scratch conn req =
   let deadline = request_deadline t req ~now in
   match (req.Http.meth, req.Http.path) with
   | "GET", "/healthz" ->
-      if respond ~scratch fd 200 {|{"status":"ok"}|} then Ok_ else Aborted
+      if respond ~scratch ~headers:json_headers fd 200 {|{"status":"ok"}|}
+      then Ok_
+      else Aborted
   | "GET", "/readyz" ->
       let draining = Atomic.get t.stop_flag in
       let status = if draining then 503 else 200 in
       let body =
         if draining then {|{"status":"draining"}|} else {|{"status":"ready"}|}
       in
-      if respond ~scratch fd status body then Ok_ else Aborted
+      if respond ~scratch ~headers:json_headers fd status body then Ok_
+      else Aborted
   | "GET", "/metrics" ->
       let body = scrape t in
       if
@@ -386,7 +389,9 @@ let accept_loop t =
                   Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Shed
               | `Closed ->
-                  ignore (respond ~scratch fd 503 {|{"error":"draining"}|});
+                  ignore
+                    (respond ~scratch ~headers:json_headers fd 503
+                       {|{"error":"draining"}|});
                   Http.discard_close ~scratch fd;
                   record_outcome t ~admitted_at Aborted))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
